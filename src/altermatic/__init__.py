@@ -23,7 +23,7 @@ from .core import (
 )
 from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number, is_proper
-from .bounds import AltReport, TheoremCheck, alt_min, alt_sigma, feasible, lower_bound, verify_theorem
+from .bounds import AltReport, TheoremCheck, alt_min, alt_sigma, feasible, verify_theorem
 from .audit import (
     AuditAnomaly,
     AuditContext,
@@ -36,21 +36,12 @@ from .audit import (
     Witness,
     audit,
     enumerate_audit_graph,
-    max_color_edges,
     max_enclosed_color,
     neighbors,
     signed_level,
     verify_witness,
 )
-from .files import (
-    ParseError,
-    load_coloring,
-    load_hypergraph,
-    parse_coloring,
-    parse_hypergraph,
-    serialize_coloring,
-    serialize_hypergraph,
-)
+from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 
 __version__ = "0.1.0"
 
@@ -86,11 +77,7 @@ __all__ = [
     "feasible",
     "is_proper",
     "kneser_graph",
-    "load_coloring",
-    "load_hypergraph",
-    "lower_bound",
     "mask_of",
-    "max_color_edges",
     "max_enclosed_color",
     "neighbors",
     "parse_coloring",

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, _env_int, vertices_of
-from .coloring import Coloring, is_proper
+from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, _env_int, alt_masks, vertices_of
+from .coloring import Coloring, first_clash
 from .kneser import kneser_graph
 from . import bounds
 
@@ -143,26 +143,23 @@ LevelOutcome = Union[SignedLevel, TieDetected]
 NeighborOutcome = Union[list[PermissibleSequence], Violation]
 
 
+def _peak(members: int, h: Hypergraph, c: Coloring) -> tuple[int, int | None]:
+    """(largest color on a hyperedge inside the vertex mask, lowest edge index
+    carrying it), or (0, None) when the mask encloses no hyperedge."""
+    best = 0
+    arg = None
+    for i, e in enumerate(h.edges):
+        if e & ~members == 0 and c.assignment[i] > best:
+            best = c.assignment[i]
+            arg = i
+    return best, arg
+
+
 def max_enclosed_color(members: int, h: Hypergraph, c: Coloring) -> int:
     """Largest color on a hyperedge contained in the vertex mask; 0 if none."""
     if len(c.assignment) != len(h.edges):
         raise ValueError("coloring length differs from edge count")
-    best = 0
-    for i, e in enumerate(h.edges):
-        if e & ~members == 0 and c.assignment[i] > best:
-            best = c.assignment[i]
-    return best
-
-
-def max_color_edges(members: int, h: Hypergraph, c: Coloring) -> tuple[int, ...]:
-    """Indices of the enclosed hyperedges attaining ``max_enclosed_color``."""
-    best = max_enclosed_color(members, h, c)
-    if best == 0:
-        return ()
-    return tuple(
-        i for i, e in enumerate(h.edges)
-        if e & ~members == 0 and c.assignment[i] == best
-    )
+    return _peak(members, h, c)[0]
 
 
 class AuditContext:
@@ -199,7 +196,7 @@ class AuditContext:
         self.alt_value = alt_value
         self.palette_bound = h.n - alt_value + k - 2
         self._vbit = tuple(1 << (v - 1) for v in order.perm)
-        self._peak: dict[int, tuple[int, int | None]] = {}
+        self._peaks: dict[int, tuple[int, int | None]] = {}
         self._level: dict[tuple[int, int], LevelOutcome] = {}
 
     def vertex_mask(self, position_mask: int) -> int:
@@ -213,17 +210,10 @@ class AuditContext:
 
     def _peak_of(self, position_mask: int) -> tuple[int, int | None]:
         """(max enclosed color, lowest attaining edge index) for one side."""
-        got = self._peak.get(position_mask)
+        got = self._peaks.get(position_mask)
         if got is None:
-            members = self.vertex_mask(position_mask)
-            best = 0
-            arg = None
-            for i, e in enumerate(self.h.edges):
-                if e & ~members == 0 and self.c.assignment[i] > best:
-                    best = self.c.assignment[i]
-                    arg = i
-            got = (best, arg)
-            self._peak[position_mask] = got
+            got = _peak(self.vertex_mask(position_mask), self.h, self.c)
+            self._peaks[position_mask] = got
         return got
 
     def level(self, reds: int, blues: int) -> LevelOutcome:
@@ -236,7 +226,7 @@ class AuditContext:
         return got
 
     def _level_uncached(self, reds: int, blues: int) -> LevelOutcome:
-        a = _alt_masks(self.n, reds, blues)
+        a = alt_masks(self.n, reds, blues)
         if a <= self.alt_value:
             support = reds | blues
             positive = blues == 0 or (support & -support) & reds
@@ -286,18 +276,6 @@ class AuditContext:
     @property
     def n(self) -> int:
         return self.h.n
-
-
-def _alt_masks(n: int, reds: int, blues: int) -> int:
-    changes = 0
-    last = 0
-    for p in range(n):
-        bit = 1 << p
-        s = 1 if reds & bit else (-1 if blues & bit else 0)
-        if s and s != last:
-            changes += 1
-            last = s
-    return changes
 
 
 def signed_level(
@@ -535,19 +513,12 @@ def audit(
 
 
 def _terminal_check(ctx: AuditContext, steps: int, settle) -> Witness | ProperWithinBound:
-    graph = kneser_graph(ctx.h)
-    if is_proper(graph, ctx.c):
+    clash = first_clash(kneser_graph(ctx.h), ctx.c)
+    if clash is None:
         return ProperWithinBound(steps)
-    for a in range(graph.vcount):
-        m = graph.rows[a] >> (a + 1)
-        b = a + 1
-        while m:
-            if m & 1 and ctx.c.assignment[a] == ctx.c.assignment[b]:
-                witness = Witness(a, b, ctx.c.assignment[a], SignVector(ctx.n))
-                return settle(Violation(witness, "direct properness scan"))
-            m >>= 1
-            b += 1
-    raise AuditAnomaly("properness scan disagreed with itself")
+    a, b = clash
+    witness = Witness(a, b, ctx.c.assignment[a], SignVector(ctx.n))
+    return settle(Violation(witness, "direct properness scan"))
 
 
 @dataclass

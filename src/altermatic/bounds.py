@@ -16,12 +16,12 @@ are immutable, so independent searches may run concurrently.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Hypergraph, LinearOrder, SignVector, SimpleGraph, _env_int, alt, restrict
+from .core import Hypergraph, LinearOrder, SignVector, _env_int, restrict
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
-from .kneser import kneser_graph
+from .kneser import disjointness_graph, kneser_graph
 
 DEFAULT_FACTORIAL_CAP = 8
 
@@ -49,7 +49,6 @@ class AltReport:
     sigma: LinearOrder
     k: int
     sigma_mode: str
-    exact_chi: int | None = None
 
     @property
     def n(self) -> int:
@@ -70,7 +69,6 @@ class TheoremCheck:
     tight: bool
     report: AltReport
     coloring: Coloring
-    failure: dict | None = None
 
 
 def feasible(h: Hypergraph, x: SignVector, order: LinearOrder, k: int) -> bool:
@@ -91,9 +89,9 @@ def feasible(h: Hypergraph, x: SignVector, order: LinearOrder, k: int) -> bool:
 class _AltSearch:
     """Shared machinery for the per-ordering searches of one (H, k) pair.
 
-    Chromatic feasibility is memoized on the surviving edge-index set,
-    which is what the restriction boils down to; the same survivor sets
-    recur across branches and across orderings.
+    Chromatic feasibility is memoized on the surviving edge-index set, as
+    a bit mask over edge indices; that set is what the restriction boils
+    down to, and the same sets recur across branches and across orderings.
     """
 
     def __init__(self, h: Hypergraph, k: int):
@@ -101,40 +99,29 @@ class _AltSearch:
             raise ValueError(f"level k must be positive, got {k}")
         self.h = h
         self.k = k
+        # by_vertex[v] lists (index bit, edge mask) for the edges containing v.
         self.by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(h.n + 1)]
         for idx, e in enumerate(h.edges):
             m = e
             while m:
                 low = m & -m
                 m ^= low
-                self.by_vertex[low.bit_length()].append((idx, e))
-        self._chrom: dict[tuple[int, ...], bool] = {}
-        self._full_ok: bool | None = None
+                self.by_vertex[low.bit_length()].append((1 << idx, e))
+        self._chrom: dict[int, bool] = {}
 
     def full_feasible(self) -> bool:
         """True when even the all-surviving edge set fits the budget,
         in which case every sign word is feasible and alt = n outright."""
-        if self._full_ok is None:
-            if self.k == 1:
-                self._full_ok = not self.h.edges
-            else:
-                self._full_ok = chromatic_at_most(kneser_graph(self.h), self.k - 1)
-        return self._full_ok
+        if self.k == 1:
+            return not self.h.edges
+        return self._chrom_ok((1 << len(self.h.edges)) - 1)
 
-    def _chrom_ok(self, survivors: list[int]) -> bool:
-        key = tuple(sorted(survivors))
-        cached = self._chrom.get(key)
+    def _chrom_ok(self, survivors: int) -> bool:
+        cached = self._chrom.get(survivors)
         if cached is None:
-            edges = [self.h.edges[i] for i in key]
-            m = len(edges)
-            rows = [0] * m
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if edges[i] & edges[j] == 0:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            cached = chromatic_at_most(SimpleGraph(m, tuple(rows)), self.k - 1)
-            self._chrom[key] = cached
+            edges = [e for i, e in enumerate(self.h.edges) if (survivors >> i) & 1]
+            cached = chromatic_at_most(disjointness_graph(edges), self.k - 1)
+            self._chrom[survivors] = cached
         return cached
 
     def alternating_word(self) -> SignVector:
@@ -167,13 +154,12 @@ class _AltSearch:
 
         best = -1
         best_word = SignVector(n)
-        survivors: list[int] = []
         aborted = False
         k = self.k
         by_vertex = self.by_vertex
         perm = order.perm
 
-        def walk(depth: int, reds: int, blues: int, wr: int, wb: int, cur: int, last: int) -> None:
+        def walk(depth: int, reds: int, blues: int, wr: int, wb: int, cur: int, last: int, surv: int) -> None:
             nonlocal best, best_word, aborted
             if cur > best:
                 best = cur
@@ -185,37 +171,30 @@ class _AltSearch:
                 return
             slot = 1 << depth
             v = perm[depth]
-            walk(depth + 1, reds, blues, wr, wb, cur, last)
+            walk(depth + 1, reds, blues, wr, wb, cur, last, surv)
             if aborted:
                 return
             for sign in (1, -1):
                 if sign == -1 and last == 0 and cur == 0:
                     continue  # mirror cut: all-zero prefix opens with R only
                 side = (reds if sign == 1 else blues) | (1 << (v - 1))
-                fresh = []
+                fresh = 0
                 dead = False
-                for idx, e in by_vertex[v]:
+                for bit, e in by_vertex[v]:
                     if e & ~side == 0:
                         if k == 1:
                             dead = True
                             break
-                        fresh.append(idx)
-                if dead:
+                        fresh |= bit
+                if dead or (fresh and not self._chrom_ok(surv | fresh)):
                     continue
-                if fresh:
-                    survivors.extend(fresh)
-                    if not self._chrom_ok(survivors):
-                        del survivors[len(survivors) - len(fresh):]
-                        continue
                 nr, nb = (side, blues) if sign == 1 else (reds, side)
                 nwr, nwb = (wr | slot, wb) if sign == 1 else (wr, wb | slot)
-                walk(depth + 1, nr, nb, nwr, nwb, cur + (1 if sign != last else 0), sign)
-                if fresh:
-                    del survivors[len(survivors) - len(fresh):]
+                walk(depth + 1, nr, nb, nwr, nwb, cur + (1 if sign != last else 0), sign, surv | fresh)
                 if aborted:
                     return
 
-        walk(0, 0, 0, 0, 0, 0, 0)
+        walk(0, 0, 0, 0, 0, 0, 0, 0)
         if aborted:
             return None
         return best, best_word
@@ -287,20 +266,13 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
     return AltReport(best[0], best[1], best[2], k, mode)
 
 
-def lower_bound(h: Hypergraph, k: int, report: AltReport) -> int:
-    """Chromatic lower bound n - alt + k - 1 carried by a search report."""
-    if report.n != h.n or report.k != k:
-        raise ValueError("report was produced for different inputs")
-    return report.bound
-
-
 def verify_theorem(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> TheoremCheck:
     """Compare the altermatic bound with the exact chromatic number.
 
     ``holds`` must come out True on every input; a False outcome means an
-    implementation bug, so the returned record then carries a reproduction
-    bundle (ordering and witness word).  Levels beyond chi + 1 are
-    rejected once chi is known.
+    implementation bug, reproducible from the ordering and witness word of
+    the record's ``report``.  Levels beyond chi + 1 are rejected once chi
+    is known.
     """
     if k < 1:
         raise ValueError(f"level k must be positive, got {k}")
@@ -310,20 +282,11 @@ def verify_theorem(h: Hypergraph, k: int, *, samples: int | None = None, seed: i
     report = alt_min(h, k, samples=samples, seed=seed)
     holds = chi.number >= report.bound
     tight = chi.number == report.bound
-    failure = None
-    if not holds:
-        failure = {
-            "sigma": report.sigma.perm,
-            "witness_word": report.witness.word(),
-            "alt_value": report.alt_value,
-            "edges": h.edge_sets(),
-        }
     return TheoremCheck(
         bound=report.bound,
         chi=chi.number,
         holds=holds,
         tight=tight,
-        report=replace(report, exact_chi=chi.number),
+        report=report,
         coloring=chi.coloring,
-        failure=failure,
     )

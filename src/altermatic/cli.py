@@ -6,7 +6,7 @@ byte-identical output except for the trailing timing field.  ``-`` stands
 for stdin on inputs and stdout on outputs.
 
 Exit codes: 0 success, 1 verification failure (or internal audit anomaly),
-2 usage or parse error, 3 resource cap hit.
+2 usage, parse or unreadable-input error, 3 resource cap hit.
 """
 
 from __future__ import annotations
@@ -21,17 +21,9 @@ from pathlib import Path
 from . import __version__
 from .audit import AuditAnomaly, ProperWithinBound, audit, enumerate_audit_graph, verify_witness
 from .bounds import alt_min, alt_sigma, factorial_cap, verify_theorem
-from .coloring import Coloring, chromatic_number, is_proper
+from .coloring import Coloring, chromatic_number
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt, support_size, vertices_of
-from .files import (
-    ParseError,
-    load_coloring,
-    load_hypergraph,
-    parse_coloring,
-    parse_hypergraph,
-    serialize_coloring,
-    serialize_hypergraph,
-)
+from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
 from . import reference
 
@@ -212,9 +204,9 @@ def _cmd_verify(args) -> int:
     report["chi"] = check.chi
     report["holds"] = check.holds
     report["tight"] = check.tight
-    if check.failure is not None:
-        report["failure_sigma"] = check.failure["sigma"]
-        report["failure_witness"] = check.failure["witness_word"]
+    if not check.holds:
+        report["failure_sigma"] = check.report.sigma.perm
+        report["failure_witness"] = check.report.witness.word()
     report["elapsed_s"] = round(time.perf_counter() - started, 3)
     _emit(report, args.json)
     return EXIT_OK if check.holds else EXIT_FAILED
@@ -419,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

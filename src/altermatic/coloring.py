@@ -50,8 +50,8 @@ class ChromaticResult(NamedTuple):
     coloring: Coloring
 
 
-def is_proper(g: SimpleGraph, c: Coloring) -> bool:
-    """True iff no adjacent pair shares a color."""
+def first_clash(g: SimpleGraph, c: Coloring) -> tuple[int, int] | None:
+    """Lexicographically first adjacent pair (i, j), i < j, sharing a color."""
     if len(c.assignment) != g.vcount:
         raise ValueError(f"coloring has {len(c.assignment)} entries for {g.vcount} vertices")
     for i in range(g.vcount):
@@ -59,10 +59,15 @@ def is_proper(g: SimpleGraph, c: Coloring) -> bool:
         j = i + 1
         while m:
             if m & 1 and c.assignment[i] == c.assignment[j]:
-                return False
+                return i, j
             m >>= 1
             j += 1
-    return True
+    return None
+
+
+def is_proper(g: SimpleGraph, c: Coloring) -> bool:
+    """True iff no adjacent pair shares a color."""
+    return first_clash(g, c) is None
 
 
 def greedy_clique(g: SimpleGraph) -> list[int]:
@@ -77,22 +82,30 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
+def _most_saturated(vertices, satmask: list[int], stop: int) -> tuple[int, int]:
+    """(vertex, saturation) of the most saturated vertex, ties to the lowest index.
+
+    The scan stops at the first vertex whose saturation reaches ``stop``.
+    """
+    best_v = -1
+    best_s = -1
+    for v in vertices:
+        s = bin(satmask[v]).count("1")
+        if s > best_s or (s == best_s and v < best_v):
+            best_s = s
+            best_v = v
+            if s >= stop:
+                break
+    return best_v, best_s
+
+
 def greedy_coloring(g: SimpleGraph) -> list[int]:
     """DSATUR heuristic coloring; lowest feasible color, no backtracking."""
     n = g.vcount
     colors = [0] * n
     satmask = [0] * n
     for _ in range(n):
-        best_v = -1
-        best_s = -1
-        for v in range(n):
-            if colors[v]:
-                continue
-            s = bin(satmask[v]).count("1")
-            if s > best_s:
-                best_s = s
-                best_v = v
-        v = best_v
+        v = _most_saturated((u for u in range(n) if not colors[u]), satmask, n + 1)[0]
         col = 1
         while (satmask[v] >> (col - 1)) & 1:
             col += 1
@@ -135,18 +148,9 @@ def _decide(g: SimpleGraph, t: int) -> list[int] | None:
     def extend(used: int) -> bool:
         if not uncolored:
             return True
-        best_v = -1
-        best_s = -1
-        for v in uncolored:
-            s = bin(satmask[v]).count("1")
-            if s > best_s or (s == best_s and v < best_v):
-                best_s = s
-                best_v = v
-                if s >= t:
-                    break
-        if best_s >= t:
+        v, s = _most_saturated(uncolored, satmask, t)
+        if s >= t:
             return False
-        v = best_v
         limit = used + 1 if used < t else t
         avail = ~satmask[v] & ((1 << limit) - 1)
         if not avail:

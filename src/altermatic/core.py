@@ -263,21 +263,26 @@ class SimpleGraph:
         return tuple(out)
 
 
-def alt(x: SignVector) -> int:
-    """Length of a longest alternating subsequence of the nonzero entries.
+def alt_masks(n: int, reds: int, blues: int) -> int:
+    """Length of a longest alternating subsequence of a word given as masks.
 
     Equals one plus the number of sign changes in the run-length profile,
-    found in a single left-to-right scan; the all-zero vector gives 0.
+    found in a single left-to-right scan; the all-zero word gives 0.
     """
     changes = 0
     last = 0
-    for p in range(x.n):
+    for p in range(n):
         bit = 1 << p
-        s = 1 if x.reds & bit else (-1 if x.blues & bit else 0)
+        s = 1 if reds & bit else (-1 if blues & bit else 0)
         if s and s != last:
             changes += 1
             last = s
     return changes
+
+
+def alt(x: SignVector) -> int:
+    """Length of a longest alternating subsequence of the nonzero entries."""
+    return alt_masks(x.n, x.reds, x.blues)
 
 
 def support_size(x: SignVector) -> int:

@@ -14,8 +14,6 @@ value present.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .core import Hypergraph, mask_of, vertices_of
 from .coloring import Coloring
 
@@ -103,11 +101,3 @@ def parse_coloring(text: str, expected_len: int) -> Coloring:
 
 def serialize_coloring(c: Coloring) -> str:
     return "".join(f"{v}\n" for v in c.assignment)
-
-
-def load_hypergraph(path: str | Path) -> Hypergraph:
-    return parse_hypergraph(Path(path).read_text(encoding="utf-8"))
-
-
-def load_coloring(path: str | Path, expected_len: int) -> Coloring:
-    return parse_coloring(Path(path).read_text(encoding="utf-8"), expected_len)

@@ -10,8 +10,22 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 from .core import Hypergraph, SimpleGraph, mask_of, vertices_of
+
+
+def disjointness_graph(edges) -> SimpleGraph:
+    """Graph on a sequence of vertex masks; i ~ j iff masks i and j are disjoint."""
+    m = len(edges)
+    rows = [0] * m
+    for i in range(m):
+        ei = edges[i]
+        for j in range(i + 1, m):
+            if ei & edges[j] == 0:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return SimpleGraph(m, tuple(rows))
 
 
 def kneser_graph(h: Hypergraph) -> SimpleGraph:
@@ -20,15 +34,7 @@ def kneser_graph(h: Hypergraph) -> SimpleGraph:
     Nonempty edges are never disjoint from themselves, so there are no
     loops.  An empty edge list gives the empty graph.
     """
-    m = len(h.edges)
-    rows = [0] * m
-    for i in range(m):
-        ei = h.edges[i]
-        for j in range(i + 1, m):
-            if ei & h.edges[j] == 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return SimpleGraph(m, tuple(rows))
+    return disjointness_graph(h.edges)
 
 
 def complete_uniform(m: int, r: int) -> Hypergraph:
@@ -61,13 +67,7 @@ def schrijver_hypergraph(m: int, r: int) -> Hypergraph:
 
 
 def _count_subsets(n: int, lo: int, hi: int) -> int:
-    total = 0
-    for s in range(lo, hi + 1):
-        c = 1
-        for i in range(s):
-            c = c * (n - i) // (i + 1)
-        total += c
-    return total
+    return sum(comb(n, s) for s in range(lo, hi + 1))
 
 
 def _unrank_subset(n: int, size: int, rank: int) -> int:
@@ -77,9 +77,7 @@ def _unrank_subset(n: int, size: int, rank: int) -> int:
     remaining = size
     while remaining:
         # subsets starting at v: C(n - v, remaining - 1) of them
-        c = 1
-        for i in range(remaining - 1):
-            c = c * (n - v - i) // (i + 1)
+        c = comb(n - v, remaining - 1)
         if rank < c:
             mask |= 1 << (v - 1)
             remaining -= 1

@@ -25,7 +25,6 @@ from altermatic import (
     enumerate_audit_graph,
     is_proper,
     kneser_graph,
-    max_color_edges,
     max_enclosed_color,
     mask_of,
     neighbors,
@@ -54,14 +53,6 @@ def test_max_enclosed_color_examples():
     assert max_enclosed_color(0, h, c) == 0
     assert max_enclosed_color(mask_of([1, 2]), h, c) == 2
     assert max_enclosed_color(mask_of([3]), h, c) == 1
-    assert max_color_edges(mask_of([1, 2, 3]), h, c) == (0,)
-    assert max_color_edges(0, h, c) == ()
-
-
-def test_max_color_edges_reports_all_peaks():
-    h = Hypergraph.from_edge_sets(4, [[1], [2], [3, 4]])
-    c = Coloring((2, 2, 1), 2)
-    assert max_color_edges(mask_of([1, 2]), h, c) == (0, 1)
 
 
 def test_level_of_empty_pair_is_plus_one():

@@ -15,7 +15,6 @@ from altermatic import (
     complete_uniform,
     feasible,
     kneser_graph,
-    lower_bound,
     random_hypergraph,
     schrijver_hypergraph,
     subset_of,
@@ -163,9 +162,7 @@ def test_sampled_mode_bounds_exhaustive():
 def test_lower_bound_arithmetic():
     h = complete_uniform(6, 2)
     rep = alt_min(h, 1)
-    assert lower_bound(h, 1, rep) == 6 - 2 + 0 == 4
-    with pytest.raises(ValueError):
-        lower_bound(complete_uniform(5, 2), 1, rep)
+    assert rep.bound == 6 - 2 + 0 == 4
 
 
 def test_per_sigma_bound_always_valid():
@@ -186,8 +183,6 @@ def test_per_sigma_bound_always_valid():
 def test_verify_theorem_pairs_of_five():
     check = verify_theorem(complete_uniform(5, 2), 1)
     assert (check.bound, check.chi, check.holds, check.tight) == (3, 3, True, True)
-    assert check.report.exact_chi == 3
-    assert check.failure is None
 
 
 def test_verify_theorem_schrijver():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from altermatic import complete_uniform, parse_hypergraph, serialize_hypergraph
+from altermatic import ChromaticResult, Coloring, alt_min, complete_uniform, parse_hypergraph, serialize_hypergraph
 from altermatic.cli import main
 
 
@@ -98,6 +98,22 @@ def test_verify_exit_code_and_json(capsys, tmp_path):
     assert rep["bound"] == 3 and rep["chi"] == 3
 
 
+def test_verify_failure_reports_reproduction(capsys, tmp_path, monkeypatch):
+    # A chromatic number below the bound must surface as a failed check
+    # carrying the ordering and witness word that reproduce it.
+    h = complete_uniform(5, 2)
+    one_color = ChromaticResult(1, Coloring((1,) * len(h.edges), 1))
+    monkeypatch.setattr("altermatic.bounds.chromatic_number", lambda g: one_color)
+    path = write_kneser(tmp_path, 5, 2)
+    code, out, _ = run(capsys, "verify", "-H", path, "-k", "1", "--json")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["holds"] is False
+    expected = alt_min(h, 1)
+    assert rep["failure_sigma"] == list(expected.sigma.perm)
+    assert rep["failure_witness"] == expected.witness.word()
+
+
 def test_audit_one_color(capsys, tmp_path):
     path = write_kneser(tmp_path, 4, 2)
     col = tmp_path / "ones.col"
@@ -137,6 +153,12 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "chromatic", "-H", str(bad))
     assert code == 2
     assert "duplicate" in err
+
+
+def test_unreadable_input_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "chromatic", "-H", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys, tmp_path):

@@ -15,6 +15,7 @@ from altermatic import (
     random_hypergraph,
 )
 from altermatic import reference
+from altermatic.coloring import first_clash
 from helpers import random_graph
 
 
@@ -29,6 +30,12 @@ def test_is_proper_basics():
     assert is_proper(SimpleGraph(0, ()), Coloring((), 0))
     with pytest.raises(ValueError):
         is_proper(g, Coloring((1, 2), 2))
+    assert first_clash(g, Coloring((1, 2, 1), 2)) is None
+    assert first_clash(g, Coloring((1, 1, 1), 1)) == (0, 1)
+    two_clashes = SimpleGraph.from_edges(4, [(0, 3), (1, 2), (2, 3)])
+    assert first_clash(two_clashes, Coloring((1, 2, 2, 1), 2)) == (0, 3)
+    with pytest.raises(ValueError):
+        first_clash(g, Coloring((1, 2), 2))
 
 
 def test_petersen_coloring_roundtrip():
