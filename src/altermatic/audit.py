@@ -104,7 +104,7 @@ class PermissibleSequence:
     chain of pairs is read off the prefixes.  Absolute values are distinct,
     so a chain of m steps has pairs of support 0, 1, ..., m.  The defining
     level condition (every inserted signed position appears among the chain's
-    levels) depends on a coloring context and is checked by ``is_permissible``.
+    levels) depends on a coloring context.
     """
 
     n: int
@@ -305,19 +305,6 @@ def _chain_levels(ctx: AuditContext, seq: PermissibleSequence):
             return None, lv
         out.append(lv.value)
     return out, None
-
-
-def is_permissible(ctx: AuditContext, seq: PermissibleSequence) -> bool:
-    """Whether every inserted signed position appears among the chain's levels.
-
-    Raises ``AuditAnomaly`` wrapped in the caller when a level tie blocks
-    evaluation; callers that can produce witnesses use ``_chain_levels``
-    directly to keep the tie.
-    """
-    values, tie = _chain_levels(ctx, seq)
-    if values is None:
-        raise AuditAnomaly("level tie while testing permissibility; audit the coloring instead")
-    return set(seq.steps) <= set(values)
 
 
 def _swap_steps(seq: PermissibleSequence, i: int) -> PermissibleSequence:

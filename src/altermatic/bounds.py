@@ -135,69 +135,62 @@ class _AltSearch:
     def run(self, order: LinearOrder, threshold: int | None = None) -> tuple[int, SignVector] | None:
         """Maximum alt over feasible words under ``order`` with one witness.
 
-        Depth-first over slots in order, branching 0, R, B; a branch dies
-        as soon as its partial word is infeasible (feasibility is downward
-        closed) or its alt ceiling (current alt plus unassigned slots)
-        cannot beat the best found.  The first branch to leave the all-zero
-        prefix only tries R: swapping the two colors everywhere preserves
-        both alt and feasibility, so the mirror image is never better.
+        Only strictly alternating words are searched.  That loses nothing:
+        the entries of a longest alternating subsequence of any optimal word
+        form a word with the same alt, and it is feasible because
+        feasibility is downward closed.  So the walk gives each slot, in
+        order, either 0 (tried first) or the sign opposite to the last
+        nonzero one, and alt is the number of nonzero slots.  The first
+        nonzero sign is R: swapping the two colors everywhere preserves
+        both alt and feasibility, so the mirror image is never better.  A
+        branch dies as soon as its partial word is infeasible or its alt
+        ceiling (current alt plus unassigned slots) cannot beat the best
+        found.
 
         With ``threshold`` set, returns None as soon as some feasible word
         reaches alt >= threshold; used by the minimization to discard
         orderings that cannot improve on the current minimum.
         """
         n = self.h.n
+        limit = n + 1 if threshold is None else threshold
         if self.full_feasible():
-            if threshold is not None and n >= threshold:
-                return None
-            return n, self.alternating_word()
+            return None if n >= limit else (n, self.alternating_word())
 
         best = -1
-        best_word = SignVector(n)
-        aborted = False
+        best_sides = (0, 0)
         k = self.k
         by_vertex = self.by_vertex
         perm = order.perm
 
-        def walk(depth: int, reds: int, blues: int, wr: int, wb: int, cur: int, last: int, surv: int) -> None:
-            nonlocal best, best_word, aborted
+        # ``nxt``/``prev``: vertex masks of the side the next nonzero slot
+        # joins and of the other side; ``wnxt``/``wprev``: the same in slots.
+        def walk(depth: int, nxt: int, prev: int, wnxt: int, wprev: int, cur: int, surv: int) -> None:
+            nonlocal best, best_sides
             if cur > best:
                 best = cur
-                best_word = SignVector(n, wr, wb)
-                if threshold is not None and best >= threshold:
-                    aborted = True
+                # the first nonzero slot is R, so ``prev`` is R when cur is odd
+                best_sides = (wprev, wnxt) if cur % 2 else (wnxt, wprev)
+                if best >= limit:
                     return
             if depth == n or cur + (n - depth) <= best:
                 return
-            slot = 1 << depth
-            v = perm[depth]
-            walk(depth + 1, reds, blues, wr, wb, cur, last, surv)
-            if aborted:
+            walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
+            if best >= limit:
                 return
-            for sign in (1, -1):
-                if sign == -1 and last == 0 and cur == 0:
-                    continue  # mirror cut: all-zero prefix opens with R only
-                side = (reds if sign == 1 else blues) | (1 << (v - 1))
-                fresh = 0
-                dead = False
-                for bit, e in by_vertex[v]:
-                    if e & ~side == 0:
-                        if k == 1:
-                            dead = True
-                            break
-                        fresh |= bit
-                if dead or (fresh and not self._chrom_ok(surv | fresh)):
-                    continue
-                nr, nb = (side, blues) if sign == 1 else (reds, side)
-                nwr, nwb = (wr | slot, wb) if sign == 1 else (wr, wb | slot)
-                walk(depth + 1, nr, nb, nwr, nwb, cur + (1 if sign != last else 0), sign, surv | fresh)
-                if aborted:
-                    return
+            v = perm[depth]
+            side = nxt | (1 << (v - 1))
+            fresh = 0
+            for bit, e in by_vertex[v]:
+                if e & ~side == 0:
+                    if k == 1:
+                        return
+                    fresh |= bit
+            if fresh and not self._chrom_ok(surv | fresh):
+                return
+            walk(depth + 1, prev, side, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
 
-        walk(0, 0, 0, 0, 0, 0, 0, 0)
-        if aborted:
-            return None
-        return best, best_word
+        walk(0, 0, 0, 0, 0, 0, 0)
+        return None if best >= limit else (best, SignVector(n, *best_sides))
 
 
 def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:

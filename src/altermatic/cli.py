@@ -71,6 +71,8 @@ def _parse_sigma(raw: str | None, n: int) -> LinearOrder:
         perm = tuple(int(t) for t in raw.split())
     except ValueError:
         raise ParseError(f"ordering must be whitespace-separated integers, got {raw!r}")
+    if len(perm) != n:
+        raise ParseError(f"ordering lists {len(perm)} vertices, hypergraph has {n}")
     return LinearOrder(perm)
 
 

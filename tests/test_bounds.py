@@ -59,6 +59,9 @@ def test_alt_sigma_witness_is_feasible():
             rep = alt_sigma(h, LinearOrder.identity(6), k)
             assert alt(rep.witness) == rep.alt_value
             assert feasible(h, rep.witness, rep.sigma, k)
+            # witnesses are strictly alternating and open with R
+            letters = rep.witness.word().replace("0", "")
+            assert letters == ("RB" * 6)[: len(letters)]
 
 
 def test_alt_sigma_matches_enumeration():
@@ -76,7 +79,8 @@ def test_alt_sigma_under_permuted_orders():
         perm = list(range(1, 7))
         rng.shuffle(perm)
         order = LinearOrder(tuple(perm))
-        assert alt_sigma(h, order, 1).alt_value == reference.alt_sigma_by_enumeration(h, order, 1)
+        for k in (1, 2, 3):
+            assert alt_sigma(h, order, k).alt_value == reference.alt_sigma_by_enumeration(h, order, k)
 
 
 def test_alt_sigma_nondecreasing_in_k():
@@ -111,6 +115,26 @@ def test_alt_min_vertex_transitive_family():
         perm = list(range(1, 6))
         rng.shuffle(perm)
         assert alt_sigma(complete_uniform(5, 2), LinearOrder(tuple(perm)), 1).alt_value == 2
+
+
+def test_alt_min_golden_reports():
+    # exact (alt, sigma, witness) pin the scan order and the 0-first branch order
+    cases = {
+        ("KG(6,2)", 1): (2, (1, 2, 3, 4, 5, 6), "0000RB"),
+        ("KG(6,2)", 2): (3, (1, 2, 3, 4, 5, 6), "000RBR"),
+        ("SG(7,2)", 1): (3, (1, 2, 3, 4, 5, 6, 7), "R0000BR"),
+        ("SG(7,2)", 2): (3, (1, 2, 3, 4, 5, 6, 7), "0000RBR"),
+        ("random", 1): (3, (1, 2, 4, 3, 5, 6), "R000BR"),
+        ("random", 2): (4, (1, 2, 3, 4, 6, 5), "0RB0RB"),
+    }
+    graphs = {
+        "KG(6,2)": complete_uniform(6, 2),
+        "SG(7,2)": schrijver_hypergraph(7, 2),
+        "random": random_hypergraph(6, 10, (1, 3), 17),
+    }
+    for (name, k), expected in cases.items():
+        rep = alt_min(graphs[name], k)
+        assert (rep.alt_value, rep.sigma.perm, rep.witness.word()) == expected, (name, k)
 
 
 def test_alt_min_at_level_chi_plus_one():

@@ -153,6 +153,10 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "chromatic", "-H", str(bad))
     assert code == 2
     assert "duplicate" in err
+    path = write_kneser(tmp_path, 4, 2)
+    code, out, err = run(capsys, "altsigma", "-H", path, "-k", "1", "--sigma", "3")
+    assert code == 2 and not out
+    assert err == "parse error: ordering lists 1 vertices, hypergraph has 4\n"
 
 
 def test_unreadable_input_is_usage_error(capsys, tmp_path):
