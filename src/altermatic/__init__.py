@@ -38,7 +38,6 @@ from .audit import (
     enumerate_audit_graph,
     max_enclosed_color,
     neighbors,
-    signed_level,
     verify_witness,
 )
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
@@ -87,7 +86,6 @@ __all__ = [
     "schrijver_hypergraph",
     "serialize_coloring",
     "serialize_hypergraph",
-    "signed_level",
     "subset_of",
     "support_size",
     "verify_theorem",

@@ -278,24 +278,6 @@ class AuditContext:
         return self.h.n
 
 
-def signed_level(
-    x: SignVector,
-    h: Hypergraph,
-    c: Coloring,
-    alt_value: int,
-    k: int,
-    order: LinearOrder | None = None,
-) -> LevelOutcome:
-    """One-shot signed level of a sign word; see ``AuditContext.level``.
-
-    ``alt_value`` must be the feasibility ceiling previously computed for
-    (h, order, k).  For repeated evaluations build one ``AuditContext`` and
-    call its ``level`` method instead.
-    """
-    ctx = AuditContext(h, c, k, order, alt_value=alt_value)
-    return ctx.level(x.reds, x.blues)
-
-
 def _chain_levels(ctx: AuditContext, seq: PermissibleSequence):
     """Levels along the chain, or the TieDetected that blocked them."""
     out = []

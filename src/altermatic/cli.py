@@ -73,7 +73,10 @@ def _parse_sigma(raw: str | None, n: int) -> LinearOrder:
         raise ParseError(f"ordering must be whitespace-separated integers, got {raw!r}")
     if len(perm) != n:
         raise ParseError(f"ordering lists {len(perm)} vertices, hypergraph has {n}")
-    return LinearOrder(perm)
+    try:
+        return LinearOrder(perm)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_sizes(raw: str) -> tuple[int, int]:

@@ -3,9 +3,11 @@
 The decision procedure is branch and bound over a dynamic DSATUR vertex
 order (most saturated first, ties to the lowest index) with two standard
 symmetry cuts: a greedy maximal clique is pre-colored 1..q, and a vertex
-may open at most one fresh color beyond those already in use.  Instances
-at the scale this library targets (a few dozen Kneser vertices) solve in
-milliseconds.
+may open at most one fresh color beyond those already in use.  The search
+runs on an explicit stack, so its depth is not limited by Python's
+recursion limit.  The chromatic number is the least budget, counted up
+from the clique size, that the decision accepts.  Instances at the scale
+this library targets (a few dozen Kneser vertices) solve in milliseconds.
 
 Each solve call owns its search state, so distinct calls may run
 concurrently; a single call is single-threaded.
@@ -32,13 +34,6 @@ class Coloring:
         for i, c in enumerate(self.assignment):
             if not 1 <= c <= self.palette:
                 raise ValueError(f"color {c} at index {i} outside 1..{self.palette}")
-
-    @classmethod
-    def from_values(cls, values, palette: int | None = None) -> "Coloring":
-        vals = tuple(values)
-        if palette is None:
-            palette = max(vals) if vals else 0
-        return cls(vals, palette)
 
     @property
     def colors_used(self) -> int:
@@ -82,8 +77,8 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def _most_saturated(vertices, satmask: list[int], stop: int) -> tuple[int, int]:
-    """(vertex, saturation) of the most saturated vertex, ties to the lowest index.
+def _most_saturated(vertices, satmask: list[int], stop: int) -> int:
+    """The most saturated vertex, ties to the lowest index.
 
     The scan stops at the first vertex whose saturation reaches ``stop``.
     """
@@ -96,26 +91,7 @@ def _most_saturated(vertices, satmask: list[int], stop: int) -> tuple[int, int]:
             best_v = v
             if s >= stop:
                 break
-    return best_v, best_s
-
-
-def greedy_coloring(g: SimpleGraph) -> list[int]:
-    """DSATUR heuristic coloring; lowest feasible color, no backtracking."""
-    n = g.vcount
-    colors = [0] * n
-    satmask = [0] * n
-    for _ in range(n):
-        v = _most_saturated((u for u in range(n) if not colors[u]), satmask, n + 1)[0]
-        col = 1
-        while (satmask[v] >> (col - 1)) & 1:
-            col += 1
-        colors[v] = col
-        m = g.rows[v]
-        while m:
-            low = m & -m
-            m ^= low
-            satmask[low.bit_length() - 1] |= 1 << (col - 1)
-    return colors
+    return best_v
 
 
 def _decide(g: SimpleGraph, t: int) -> list[int] | None:
@@ -145,44 +121,44 @@ def _decide(g: SimpleGraph, t: int) -> list[int] | None:
             satmask[low.bit_length() - 1] |= 1 << idx
     rows = g.rows
 
-    def extend(used: int) -> bool:
-        if not uncolored:
-            return True
-        v, s = _most_saturated(uncolored, satmask, t)
-        if s >= t:
-            return False
+    # One frame per colored vertex: (vertex, untried colors, neighbors whose
+    # saturation its color set, that color's bit, colors in use before it).
+    stack: list[tuple[int, int, list[int], int, int]] = []
+    used = len(clique)
+    while uncolored:
+        v = _most_saturated(uncolored, satmask, t)
         limit = used + 1 if used < t else t
         avail = ~satmask[v] & ((1 << limit) - 1)
-        if not avail:
-            return False
-        uncolored.discard(v)
-        neigh = rows[v]
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            col = low.bit_length()
-            colors[v] = col
-            bit = 1 << (col - 1)
-            touched = []
-            m = neigh
-            while m:
-                lw = m & -m
-                m ^= lw
-                w = lw.bit_length() - 1
-                if not satmask[w] & bit:
-                    satmask[w] |= bit
-                    touched.append(w)
-            if extend(used if col <= used else col):
-                return True
-            for w in touched:
-                satmask[w] &= ~bit
-        colors[v] = 0
-        uncolored.add(v)
-        return False
-
-    if extend(len(clique)):
-        return colors
-    return None
+        if avail:
+            uncolored.discard(v)
+        else:
+            # Backtrack to the deepest vertex with an untried color.
+            while True:
+                if not stack:
+                    return None
+                v, avail, touched, bit, used = stack.pop()
+                for w in touched:
+                    satmask[w] &= ~bit
+                if avail:
+                    break
+                colors[v] = 0
+                uncolored.add(v)
+        bit = avail & -avail
+        col = bit.bit_length()
+        colors[v] = col
+        touched = []
+        m = rows[v]
+        while m:
+            lw = m & -m
+            m ^= lw
+            w = lw.bit_length() - 1
+            if not satmask[w] & bit:
+                satmask[w] |= bit
+                touched.append(w)
+        stack.append((v, avail ^ bit, touched, bit, used))
+        if col > used:
+            used = col
+    return colors
 
 
 def chromatic_at_most(g: SimpleGraph, t: int) -> bool:
@@ -199,18 +175,16 @@ def chromatic_at_most(g: SimpleGraph, t: int) -> bool:
 def chromatic_number(g: SimpleGraph) -> ChromaticResult:
     """Least color count with a witness coloring that attains it.
 
-    Brackets the answer between a greedy maximal clique (lower bound) and
-    a DSATUR heuristic coloring (upper bound), then runs the exact decision
-    upward from the clique bound.  The witness is deterministic and always
-    uses exactly the returned number of colors.
+    Runs the exact decision for t = max(greedy clique size, 1), t + 1, ...
+    and returns the first budget that succeeds; a budget of one color per
+    vertex always does.  The witness is deterministic and, since every
+    smaller budget failed, uses exactly the returned number of colors.
     """
     if g.vcount == 0:
         return ChromaticResult(0, Coloring((), 0))
-    heur = greedy_coloring(g)
-    ub = max(heur)
-    lb = max(len(greedy_clique(g)), 1)
-    for t in range(lb, ub):
+    t = max(len(greedy_clique(g)), 1)
+    while True:
         found = _decide(g, t)
         if found is not None:
             return ChromaticResult(t, Coloring(tuple(found), t))
-    return ChromaticResult(ub, Coloring(tuple(heur), ub))
+        t += 1

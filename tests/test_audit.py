@@ -29,7 +29,6 @@ from altermatic import (
     mask_of,
     neighbors,
     random_hypergraph,
-    signed_level,
     subset_of,
     verify_witness,
 )
@@ -66,7 +65,7 @@ def test_level_low_band_example():
     ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
     assert ctx.alt_value == 2
     x = SignVector.from_sets(4, reds=[2])
-    lv = signed_level(x, PAIRS4, optimal_coloring(PAIRS4), 2, 1)
+    lv = AuditContext(PAIRS4, optimal_coloring(PAIRS4), 1, alt_value=2).level(x.reds, x.blues)
     assert isinstance(lv, SignedLevel) and lv.value == 2
 
 

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from altermatic import ChromaticResult, Coloring, alt_min, complete_uniform, parse_hypergraph, serialize_hypergraph
+from altermatic import (
+    ChromaticResult,
+    Coloring,
+    Hypergraph,
+    alt_min,
+    complete_uniform,
+    parse_hypergraph,
+    random_hypergraph,
+    serialize_hypergraph,
+)
 from altermatic.cli import main
 
 
@@ -52,6 +61,23 @@ def test_chromatic_petersen(capsys, tmp_path):
     assert code == 0
     rep = report_dict(out)
     assert rep["chi"] == "3"
+
+
+def test_chromatic_on_more_kneser_vertices_than_the_recursion_limit(capsys, tmp_path):
+    # A small random Kneser graph plus 1,100 edges that all hold vertex 1
+    # and six of {2..8}: they meet each other and every small edge, so they
+    # are isolated Kneser vertices that the coloring search still visits.
+    small = [[v + 1 for v in e] for e in random_hypergraph(7, 14, (2, 3), 15).edge_sets()]
+    big = [
+        [1] + [v for v in range(2, 9) if v != skip] + [9 + i for i in range(8) if extra >> i & 1]
+        for skip in range(2, 9)
+        for extra in range(256)
+    ][:1100]
+    path = tmp_path / "deep.hg"
+    path.write_text(serialize_hypergraph(Hypergraph.from_edge_sets(16, small + big)))
+    code, out, err = run(capsys, "chromatic", "-H", str(path))
+    assert code == 0, err
+    assert report_dict(out)["chi"] == "3"
 
 
 def test_chromatic_writes_witness_file(capsys, tmp_path):
@@ -157,6 +183,11 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "altsigma", "-H", path, "-k", "1", "--sigma", "3")
     assert code == 2 and not out
     assert err == "parse error: ordering lists 1 vertices, hypergraph has 4\n"
+    path = write_kneser(tmp_path, 5, 2)
+    for sigma in ("1 1 2 3 4", "0 1 2 3 4"):
+        code, out, err = run(capsys, "altsigma", "-H", path, "-k", "1", "--sigma", sigma)
+        assert code == 2 and not out
+        assert err.startswith("parse error: not a permutation of 1..5")
 
 
 def test_unreadable_input_is_usage_error(capsys, tmp_path):

@@ -100,6 +100,15 @@ def test_kneser_graphs_against_oracle():
         assert chromatic_number(g).number == reference.chromatic_by_enumeration(g)
 
 
+def test_odd_cycle_longer_than_the_recursion_limit():
+    n = 1501
+    g = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    number, witness = chromatic_number(g)
+    assert number == 3
+    assert is_proper(g, witness) and witness.colors_used == 3
+    assert not chromatic_at_most(g, 2)
+
+
 def test_deterministic_witness():
     g = kneser_graph(complete_uniform(6, 2))
     assert chromatic_number(g) == chromatic_number(g)
@@ -110,4 +119,3 @@ def test_coloring_validation():
         Coloring((1, 3), 2)
     with pytest.raises(ValueError):
         Coloring((0,), 1)
-    assert Coloring.from_values([2, 1, 2]).palette == 2
