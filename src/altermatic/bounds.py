@@ -132,8 +132,8 @@ class _AltSearch:
             sum(1 << p for p in range(1, n, 2)),
         )
 
-    def run(self, order: LinearOrder, threshold: int | None = None) -> tuple[int, SignVector] | None:
-        """Maximum alt over feasible words under ``order`` with one witness.
+    def run(self, perm: tuple[int, ...], threshold: int | None = None) -> tuple[int, SignVector] | None:
+        """Maximum alt over feasible words under the ordering ``perm`` with one witness.
 
         Only strictly alternating words are searched.  That loses nothing:
         the entries of a longest alternating subsequence of any optimal word
@@ -160,7 +160,6 @@ class _AltSearch:
         best_sides = (0, 0)
         k = self.k
         by_vertex = self.by_vertex
-        perm = order.perm
 
         # ``nxt``/``prev``: vertex masks of the side the next nonzero slot
         # joins and of the other side; ``wnxt``/``wprev``: the same in slots.
@@ -198,7 +197,7 @@ def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:
     if order.n != h.n:
         raise ValueError("ordering length differs from vertex count")
     search = _AltSearch(h, k)
-    outcome = search.run(order)
+    outcome = search.run(order.perm)
     assert outcome is not None
     return AltReport(outcome[0], outcome[1], order, k, "single")
 
@@ -236,27 +235,26 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
         cap = factorial_cap()
         if n > cap:
             raise ValueError(f"exhaustive ordering scan refused for n={n} > cap {cap}; use sampled mode")
-        orderings = (LinearOrder(p) for p in _ordering_stream(n))
+        orderings = _ordering_stream(n)
     else:
         if samples < 1:
             raise ValueError(f"sample count must be positive, got {samples}")
         rng = random.Random(seed)
-        pool = [LinearOrder.identity(n)]
+        orderings = [tuple(range(1, n + 1))]
         for _ in range(samples):
             p = list(range(1, n + 1))
             rng.shuffle(p)
-            pool.append(LinearOrder(tuple(p)))
-        orderings = iter(pool)
+            orderings.append(tuple(p))
 
-    best: tuple[int, SignVector, LinearOrder] | None = None
-    for order in orderings:
-        outcome = search.run(order, threshold=None if best is None else best[0])
+    best: tuple[int, SignVector, tuple[int, ...]] | None = None
+    for perm in orderings:
+        outcome = search.run(perm, threshold=None if best is None else best[0])
         if outcome is not None:
-            best = (outcome[0], outcome[1], order)
+            best = (outcome[0], outcome[1], perm)
             if best[0] == 0:
                 break
     assert best is not None
-    return AltReport(best[0], best[1], best[2], k, mode)
+    return AltReport(best[0], best[1], LinearOrder(best[2]), k, mode)
 
 
 def verify_theorem(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> TheoremCheck:

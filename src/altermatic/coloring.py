@@ -1,13 +1,15 @@
 """Exact graph coloring: properness checks, decision, and chromatic number.
 
 The decision procedure is branch and bound over a dynamic DSATUR vertex
-order (most saturated first, ties to the lowest index) with two standard
-symmetry cuts: a greedy maximal clique is pre-colored 1..q, and a vertex
-may open at most one fresh color beyond those already in use.  The search
+order (Brelaz 1979: most saturated first, ties to the lowest index) with
+two standard symmetry cuts: a greedy maximal clique is pre-colored 1..q,
+and a vertex may open at most one fresh color beyond those already in
+use.  Its only saturation state is one vertex mask per color, the
+neighbors of that color's vertices; a vertex's saturation is the number
+of masks holding it, and backtracking restores one mask.  The search
 runs on an explicit stack, so its depth is not limited by Python's
 recursion limit.  The chromatic number is the least budget, counted up
-from the clique size, that the decision accepts.  Instances at the scale
-this library targets (a few dozen Kneser vertices) solve in milliseconds.
+from the clique size, that the decision accepts.
 
 Each solve call owns its search state, so distinct calls may run
 concurrently; a single call is single-threaded.
@@ -67,7 +69,7 @@ def is_proper(g: SimpleGraph, c: Coloring) -> bool:
 
 def greedy_clique(g: SimpleGraph) -> list[int]:
     """A maximal clique grown greedily from the highest-degree vertices."""
-    order = sorted(range(g.vcount), key=lambda v: (-bin(g.rows[v]).count("1"), v))
+    order = sorted(range(g.vcount), key=lambda v: (-g.rows[v].bit_count(), v))
     clique: list[int] = []
     common = (1 << g.vcount) - 1
     for v in order:
@@ -77,21 +79,28 @@ def greedy_clique(g: SimpleGraph) -> list[int]:
     return clique
 
 
-def _most_saturated(vertices, satmask: list[int], stop: int) -> int:
-    """The most saturated vertex, ties to the lowest index.
+def _most_saturated(cands: int, near: list[int]) -> int:
+    """The candidate in the most ``near`` masks, ties to the lowest index.
 
-    The scan stops at the first vertex whose saturation reaches ``stop``.
+    ``cands`` is a nonempty vertex mask.  Membership counts are kept bit
+    sliced: ``planes[i]`` holds bit i of every candidate's count, and each
+    mask is added with a ripple carry.  Narrowing to the candidates set on
+    the highest planes first leaves exactly those of maximum count.
     """
-    best_v = -1
-    best_s = -1
-    for v in vertices:
-        s = bin(satmask[v]).count("1")
-        if s > best_s or (s == best_s and v < best_v):
-            best_s = s
-            best_v = v
-            if s >= stop:
+    planes: list[int] = []
+    for m in near:
+        carry = m & cands
+        for i, p in enumerate(planes):
+            if not carry:
                 break
-    return best_v
+            planes[i] = p ^ carry
+            carry &= p
+        if carry:
+            planes.append(carry)
+    for p in reversed(planes):
+        if cands & p:
+            cands &= p
+    return (cands & -cands).bit_length() - 1
 
 
 def _decide(g: SimpleGraph, t: int) -> list[int] | None:
@@ -108,56 +117,44 @@ def _decide(g: SimpleGraph, t: int) -> list[int] | None:
     if len(clique) > t:
         return None
 
-    colors = [0] * n
-    satmask = [0] * n
-    uncolored = set(range(n))
-    for idx, v in enumerate(clique):
-        colors[v] = idx + 1
-        uncolored.discard(v)
-        m = g.rows[v]
-        while m:
-            low = m & -m
-            m ^= low
-            satmask[low.bit_length() - 1] |= 1 << idx
     rows = g.rows
+    colors = [0] * n
+    # near[c]: the vertices adjacent to some vertex of color c + 1.
+    near = [0] * t
+    uncolored = (1 << n) - 1
+    for c, v in enumerate(clique):
+        colors[v] = c + 1
+        near[c] = rows[v]
+        uncolored ^= 1 << v
 
-    # One frame per colored vertex: (vertex, untried colors, neighbors whose
-    # saturation its color set, that color's bit, colors in use before it).
-    stack: list[tuple[int, int, list[int], int, int]] = []
+    # One frame per colored vertex: (vertex, untried colors, the mask of its
+    # color before it, colors in use before it).
+    stack: list[tuple[int, int, int, int]] = []
     used = len(clique)
     while uncolored:
-        v = _most_saturated(uncolored, satmask, t)
+        v = _most_saturated(uncolored, near)
         limit = used + 1 if used < t else t
-        avail = ~satmask[v] & ((1 << limit) - 1)
+        avail = sum(1 << c for c in range(limit) if not near[c] >> v & 1)
         if avail:
-            uncolored.discard(v)
+            uncolored ^= 1 << v
         else:
             # Backtrack to the deepest vertex with an untried color.
             while True:
                 if not stack:
                     return None
-                v, avail, touched, bit, used = stack.pop()
-                for w in touched:
-                    satmask[w] &= ~bit
+                v, avail, before, used = stack.pop()
+                near[colors[v] - 1] = before
                 if avail:
                     break
                 colors[v] = 0
-                uncolored.add(v)
+                uncolored |= 1 << v
         bit = avail & -avail
-        col = bit.bit_length()
-        colors[v] = col
-        touched = []
-        m = rows[v]
-        while m:
-            lw = m & -m
-            m ^= lw
-            w = lw.bit_length() - 1
-            if not satmask[w] & bit:
-                satmask[w] |= bit
-                touched.append(w)
-        stack.append((v, avail ^ bit, touched, bit, used))
-        if col > used:
-            used = col
+        c = bit.bit_length() - 1
+        colors[v] = c + 1
+        stack.append((v, avail ^ bit, near[c], used))
+        near[c] |= rows[v]
+        if c >= used:
+            used = c + 1
     return colors
 
 

@@ -242,10 +242,10 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows) // 2
+        return sum(r.bit_count() for r in self.rows) // 2
 
     def degree(self, v: int) -> int:
-        return bin(self.rows[v]).count("1")
+        return self.rows[v].bit_count()
 
     def adjacent(self, a: int, b: int) -> bool:
         return bool((self.rows[a] >> b) & 1)
@@ -287,7 +287,7 @@ def alt(x: SignVector) -> int:
 
 def support_size(x: SignVector) -> int:
     """Number of nonzero entries."""
-    return bin(x.reds).count("1") + bin(x.blues).count("1")
+    return x.reds.bit_count() + x.blues.bit_count()
 
 
 def subset_of(x: SignVector, y: SignVector) -> bool:

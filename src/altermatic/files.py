@@ -14,7 +14,7 @@ value present.
 
 from __future__ import annotations
 
-from .core import Hypergraph, mask_of, vertices_of
+from .core import Hypergraph, mask_of, vertex_cap, vertices_of
 from .coloring import Coloring
 
 
@@ -49,6 +49,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise ParseError(f"vertex count {tokens[1]!r} is not an integer", number)
     if n < 1:
         raise ParseError(f"vertex count must be positive, got {n}", number)
+    cap = vertex_cap()
+    if n > cap:
+        raise ParseError(f"vertex count {n} exceeds vertex cap {cap}", number)
 
     edges: list[int] = []
     seen: set[int] = set()

@@ -188,6 +188,11 @@ def test_parse_error_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, "altsigma", "-H", path, "-k", "1", "--sigma", sigma)
         assert code == 2 and not out
         assert err.startswith("parse error: not a permutation of 1..5")
+    huge = tmp_path / "huge.hg"
+    huge.write_text("n 100000000\n" + "".join(f"{100000000 - i}\n" for i in range(20)))
+    code, out, err = run(capsys, "chromatic", "-H", str(huge))
+    assert code == 2 and not out
+    assert err == "parse error: line 1: vertex count 100000000 exceeds vertex cap 63\n"
 
 
 def test_unreadable_input_is_usage_error(capsys, tmp_path):

@@ -13,9 +13,10 @@ from altermatic import (
     is_proper,
     kneser_graph,
     random_hypergraph,
+    schrijver_hypergraph,
 )
 from altermatic import reference
-from altermatic.coloring import first_clash
+from altermatic.coloring import _decide, _most_saturated, first_clash
 from helpers import random_graph
 
 
@@ -107,6 +108,37 @@ def test_odd_cycle_longer_than_the_recursion_limit():
     assert number == 3
     assert is_proper(g, witness) and witness.colors_used == 3
     assert not chromatic_at_most(g, 2)
+
+
+# _decide(g, t) for t from the greedy clique size up to chi, one digit per
+# vertex; pins the DSATUR tie rule (lowest index) and the color order.
+DECIDE_GOLDEN = [
+    (complete_uniform(6, 2), 3, [None, "111112234234343"]),
+    (complete_uniform(7, 3), 2, [None, "12221222122222211113313113313112333"]),
+    (schrijver_hypergraph(7, 2), 3, [None, None, "11112222443533"]),
+    (random_hypergraph(7, 14, (2, 3), 15), 3, ["11233211112223"]),
+]
+
+
+@pytest.mark.parametrize("h, lo, expected", DECIDE_GOLDEN)
+def test_decide_golden(h, lo, expected):
+    g = kneser_graph(h)
+    found = [_decide(g, t) for t in range(lo, lo + len(expected))]
+    assert [None if f is None else "".join(map(str, f)) for f in found] == expected
+
+
+def test_most_saturated_against_counting():
+    rng = random.Random(53)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        cands = rng.randint(1, (1 << n) - 1)
+        near = [rng.getrandbits(n) for _ in range(rng.randint(0, 9))]
+        counts = {v: sum(m >> v & 1 for m in near) for v in range(n) if cands >> v & 1}
+        top = max(counts.values())
+        assert _most_saturated(cands, near) == min(v for v in counts if counts[v] == top)
+    assert _most_saturated(0b10110, []) == 1
+    assert _most_saturated(0b111, [0b110, 0b011]) == 1
+    assert _most_saturated(0b101, [0b100, 0b001, 0b100, 0b001]) == 0
 
 
 def test_deterministic_witness():
