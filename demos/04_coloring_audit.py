@@ -13,10 +13,10 @@ from altermatic import (
     audit,
     chromatic_number,
     complete_uniform,
-    enumerate_audit_graph,
     kneser_graph,
     verify_witness,
 )
+from altermatic.reference import enumerate_audit_graph
 
 h = complete_uniform(4, 2)
 edge_sets = h.edge_sets()

@@ -17,7 +17,6 @@ from .core import (
     apply_order,
     mask_of,
     restrict,
-    subset_of,
     support_size,
     vertices_of,
 )
@@ -27,7 +26,6 @@ from .bounds import AltReport, TheoremCheck, alt_min, alt_sigma, feasible, verif
 from .audit import (
     AuditAnomaly,
     AuditContext,
-    AuditGraphStats,
     PermissibleSequence,
     ProperWithinBound,
     SignedLevel,
@@ -35,8 +33,6 @@ from .audit import (
     Violation,
     Witness,
     audit,
-    enumerate_audit_graph,
-    max_enclosed_color,
     neighbors,
     verify_witness,
 )
@@ -48,7 +44,6 @@ __all__ = [
     "AltReport",
     "AuditAnomaly",
     "AuditContext",
-    "AuditGraphStats",
     "ChromaticResult",
     "Coloring",
     "Hypergraph",
@@ -72,12 +67,10 @@ __all__ = [
     "chromatic_at_most",
     "chromatic_number",
     "complete_uniform",
-    "enumerate_audit_graph",
     "feasible",
     "is_proper",
     "kneser_graph",
     "mask_of",
-    "max_enclosed_color",
     "neighbors",
     "parse_coloring",
     "parse_hypergraph",
@@ -86,7 +79,6 @@ __all__ = [
     "schrijver_hypergraph",
     "serialize_coloring",
     "serialize_hypergraph",
-    "subset_of",
     "support_size",
     "verify_theorem",
     "verify_witness",

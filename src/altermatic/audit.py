@@ -17,7 +17,7 @@ the same immutable inputs are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, _env_int, alt_masks, vertices_of
@@ -135,9 +135,6 @@ class PermissibleSequence:
             out.append((reds, blues))
         return out
 
-    def mirrored(self) -> "PermissibleSequence":
-        return PermissibleSequence(self.n, tuple(-s for s in self.steps))
-
 
 LevelOutcome = Union[SignedLevel, TieDetected]
 NeighborOutcome = Union[list[PermissibleSequence], Violation]
@@ -153,13 +150,6 @@ def _peak(members: int, h: Hypergraph, c: Coloring) -> tuple[int, int | None]:
             best = c.assignment[i]
             arg = i
     return best, arg
-
-
-def max_enclosed_color(members: int, h: Hypergraph, c: Coloring) -> int:
-    """Largest color on a hyperedge contained in the vertex mask; 0 if none."""
-    if len(c.assignment) != len(h.edges):
-        raise ValueError("coloring length differs from edge count")
-    return _peak(members, h, c)[0]
 
 
 class AuditContext:
@@ -355,7 +345,7 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
             produced.append(PermissibleSequence(seq.n, seq.steps + (val,)))
         if m > 0:
             if i == 0:
-                produced.append(seq.mirrored())
+                produced.append(PermissibleSequence(seq.n, tuple(-s for s in seq.steps)))
             elif i == m:
                 produced.append(PermissibleSequence(seq.n, seq.steps[:-1]))
             else:
@@ -488,88 +478,3 @@ def _terminal_check(ctx: AuditContext, steps: int, settle) -> Witness | ProperWi
     a, b = clash
     witness = Witness(a, b, ctx.c.assignment[a], SignVector(ctx.n))
     return settle(Violation(witness, "direct properness scan"))
-
-
-@dataclass
-class AuditGraphStats:
-    """Census of the audit graph on all permissible chains of one context."""
-
-    candidates: int
-    vertex_count: int
-    degree_histogram: dict[int, int]
-    violations: list[tuple[PermissibleSequence, Violation]]
-    neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = field(repr=False)
-
-
-def enumerate_audit_graph(
-    h: Hypergraph,
-    c: Coloring,
-    k: int,
-    order: LinearOrder | None = None,
-    size_cap: int = 200_000,
-) -> AuditGraphStats:
-    """Enumerate every permissible chain, its neighbors, and all violations.
-
-    A test instrument for small n: the degree histogram exposes the
-    impossible profile (one vertex of degree one, the rest of degree two)
-    that the walk exploits, and the neighbor map lets tests check symmetry.
-    Chains are generated by extending step prefixes; a prefix whose newest
-    pair has a level tie is recorded once as a violation and pruned, since
-    the poisoned pair stays in every extension.
-    """
-    ctx = AuditContext(h, c, k, order)
-    n = h.n
-    total = 0
-    layer = 1
-    for m in range(n + 1):
-        total += layer
-        layer *= 2 * (n - m)
-    if total > size_cap:
-        raise SearchLimitError(f"{total} candidate chains exceed size cap {size_cap}")
-
-    vertices: list[PermissibleSequence] = []
-    violations: list[tuple[PermissibleSequence, Violation]] = []
-
-    def grow(steps: tuple[int, ...], values: list[int]) -> None:
-        seq = PermissibleSequence(n, steps)
-        if set(steps) <= set(values):
-            vertices.append(seq)
-        if len(steps) == n:
-            return
-        taken = {abs(s) for s in steps}
-        for p in range(1, n + 1):
-            if p in taken:
-                continue
-            for s in (p, -p):
-                nxt = steps + (s,)
-                reds, blues = PermissibleSequence(n, nxt).pairs()[-1]
-                lv = ctx.level(reds, blues)
-                if isinstance(lv, TieDetected):
-                    violations.append(
-                        (PermissibleSequence(n, nxt), Violation(lv.witness, "level tie"))
-                    )
-                    continue
-                grow(nxt, values + [lv.value])
-
-    root = ctx.level(0, 0)
-    assert isinstance(root, SignedLevel)
-    grow((), [root.value])
-
-    neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = {}
-    degree_histogram: dict[int, int] = {}
-    for seq in vertices:
-        outcome = neighbors(seq, ctx)
-        if isinstance(outcome, Violation):
-            violations.append((seq, outcome))
-            continue
-        neighbor_map[seq] = tuple(outcome)
-        d = len(outcome)
-        degree_histogram[d] = degree_histogram.get(d, 0) + 1
-
-    return AuditGraphStats(
-        candidates=total,
-        vertex_count=len(vertices),
-        degree_histogram=degree_histogram,
-        violations=violations,
-        neighbor_map=neighbor_map,
-    )

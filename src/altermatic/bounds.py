@@ -214,6 +214,17 @@ def _ordering_stream(n: int):
             yield perm
 
 
+def _sampled_orderings(n: int, samples: int, seed: int):
+    """The identity, then ``samples`` seeded shuffles, drawn one at a time
+    so that an early stop draws no more of them."""
+    yield tuple(range(1, n + 1))
+    rng = random.Random(seed)
+    for _ in range(samples):
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        yield tuple(p)
+
+
 def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
@@ -239,12 +250,7 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
     else:
         if samples < 1:
             raise ValueError(f"sample count must be positive, got {samples}")
-        rng = random.Random(seed)
-        orderings = [tuple(range(1, n + 1))]
-        for _ in range(samples):
-            p = list(range(1, n + 1))
-            rng.shuffle(p)
-            orderings.append(tuple(p))
+        orderings = _sampled_orderings(n, samples, seed)
 
     best: tuple[int, SignVector, tuple[int, ...]] | None = None
     for perm in orderings:

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .audit import AuditAnomaly, ProperWithinBound, audit, enumerate_audit_graph, verify_witness
+from .audit import AuditAnomaly, ProperWithinBound, audit, verify_witness
 from .bounds import alt_min, alt_sigma, factorial_cap, verify_theorem
 from .coloring import Coloring, chromatic_number
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt, support_size, vertices_of
@@ -301,7 +301,7 @@ def _selftest_checks():
 
     def audit_graph_shape():
         proper = chromatic_number(kneser_graph(pairs4)).coloring
-        stats = enumerate_audit_graph(pairs4, proper, 1)
+        stats = reference.enumerate_audit_graph(pairs4, proper, 1)
         empty = [s for s in stats.neighbor_map if s.length == 0]
         assert len(empty) == 1
         assert [q.steps for q in stats.neighbor_map[empty[0]]] == [(1,)]

@@ -111,15 +111,6 @@ class SignVector:
                 chars.append("0")
         return "".join(chars)
 
-    def sign_at(self, position: int) -> int:
-        """+1, -1 or 0 at a 1-based position."""
-        b = 1 << (position - 1)
-        if self.reds & b:
-            return 1
-        if self.blues & b:
-            return -1
-        return 0
-
 
 @dataclass(frozen=True)
 class LinearOrder:
@@ -142,13 +133,6 @@ class LinearOrder:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def vertex_at(self, position: int) -> int:
-        """Vertex occupying a 1-based position."""
-        return self.perm[position - 1]
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.perm))
 
 
 @dataclass(frozen=True)
@@ -193,10 +177,6 @@ class Hypergraph:
 
     def edge_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertices_of(e) for e in self.edges)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -247,21 +227,6 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return bool((self.rows[a] >> b) & 1)
-
-    def edge_list(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for i in range(self.vcount):
-            m = self.rows[i] >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((i, j))
-                m >>= 1
-                j += 1
-        return tuple(out)
-
 
 def alt_masks(n: int, reds: int, blues: int) -> int:
     """Length of a longest alternating subsequence of a word given as masks.
@@ -290,13 +255,6 @@ def support_size(x: SignVector) -> int:
     return x.reds.bit_count() + x.blues.bit_count()
 
 
-def subset_of(x: SignVector, y: SignVector) -> bool:
-    """Componentwise containment: x.reds within y.reds and x.blues within y.blues."""
-    if x.n != y.n:
-        raise ValueError("sign vectors have different lengths")
-    return (x.reds & ~y.reds) == 0 and (x.blues & ~y.blues) == 0
-
-
 def apply_order(x: SignVector, order: LinearOrder) -> SignVector:
     """Relabel a sign word through an ordering: slot j labels vertex perm[j].
 
@@ -305,8 +263,6 @@ def apply_order(x: SignVector, order: LinearOrder) -> SignVector:
     """
     if x.n != order.n:
         raise ValueError("sign vector and ordering have different lengths")
-    if order.is_identity():
-        return x
     reds = blues = 0
     for p in range(x.n):
         bit = 1 << p

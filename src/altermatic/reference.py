@@ -1,25 +1,29 @@
-"""Brute-force reference implementations.
+"""Brute-force reference implementations and the audit-graph census.
 
 Everything here recomputes a quantity the production code obtains by a
 smarter route, using the most literal method available: explicit
 subsequence enumeration, restricted-growth-string assignment enumeration,
-full ternary enumeration of sign words.  They exist to cross-check the
-fast paths in the test suite and the command line self-test; never call
+full ternary enumeration of sign words.  The census enumerates every
+permissible chain of one audit context, where the audit walk visits only
+the chains on its path.  They exist to cross-check the fast paths in the
+test suite, the command line self-test and the audit demo; never call
 them for real work.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .core import Hypergraph, LinearOrder, SignVector, SimpleGraph
-from .coloring import chromatic_at_most
+from .audit import AuditContext, PermissibleSequence, SignedLevel, TieDetected, Violation, neighbors
+from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, SimpleGraph
+from .coloring import Coloring, chromatic_at_most
 from .kneser import kneser_graph
 
 
 def alt_by_enumeration(x: SignVector) -> int:
     """Longest alternating subsequence by trying every subsequence."""
-    signs = [x.sign_at(p) for p in range(1, x.n + 1) if x.sign_at(p) != 0]
+    signs = [1 if ch == "R" else -1 for ch in x.word() if ch != "0"]
     best = 0
     for size in range(1, len(signs) + 1):
         for picks in combinations(range(len(signs)), size):
@@ -31,7 +35,7 @@ def alt_by_enumeration(x: SignVector) -> int:
 
 def longest_alternating_starts(x: SignVector) -> set[int]:
     """Signs that can begin a maximum-length alternating subsequence."""
-    signs = [x.sign_at(p) for p in range(1, x.n + 1) if x.sign_at(p) != 0]
+    signs = [1 if ch == "R" else -1 for ch in x.word() if ch != "0"]
     best = 0
     starts: set[int] = set()
     for size in range(1, len(signs) + 1):
@@ -119,3 +123,88 @@ def alt_sigma_by_enumeration(h: Hypergraph, order: LinearOrder, k: int) -> int:
             if best == n:
                 break
     return best
+
+
+@dataclass
+class AuditGraphStats:
+    """Census of the audit graph on all permissible chains of one context."""
+
+    candidates: int
+    vertex_count: int
+    degree_histogram: dict[int, int]
+    violations: list[tuple[PermissibleSequence, Violation]]
+    neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = field(repr=False)
+
+
+def enumerate_audit_graph(
+    h: Hypergraph,
+    c: Coloring,
+    k: int,
+    order: LinearOrder | None = None,
+    size_cap: int = 200_000,
+) -> AuditGraphStats:
+    """Enumerate every permissible chain, its neighbors, and all violations.
+
+    A test instrument for small n: the degree histogram exposes the
+    impossible profile (one vertex of degree one, the rest of degree two)
+    that the walk exploits, and the neighbor map lets tests check symmetry.
+    Chains are generated by extending step prefixes; a prefix whose newest
+    pair has a level tie is recorded once as a violation and pruned, since
+    the poisoned pair stays in every extension.
+    """
+    ctx = AuditContext(h, c, k, order)
+    n = h.n
+    total = 0
+    layer = 1
+    for m in range(n + 1):
+        total += layer
+        layer *= 2 * (n - m)
+    if total > size_cap:
+        raise SearchLimitError(f"{total} candidate chains exceed size cap {size_cap}")
+
+    vertices: list[PermissibleSequence] = []
+    violations: list[tuple[PermissibleSequence, Violation]] = []
+
+    def grow(steps: tuple[int, ...], values: list[int]) -> None:
+        seq = PermissibleSequence(n, steps)
+        if set(steps) <= set(values):
+            vertices.append(seq)
+        if len(steps) == n:
+            return
+        taken = {abs(s) for s in steps}
+        for p in range(1, n + 1):
+            if p in taken:
+                continue
+            for s in (p, -p):
+                nxt = steps + (s,)
+                reds, blues = PermissibleSequence(n, nxt).pairs()[-1]
+                lv = ctx.level(reds, blues)
+                if isinstance(lv, TieDetected):
+                    violations.append(
+                        (PermissibleSequence(n, nxt), Violation(lv.witness, "level tie"))
+                    )
+                    continue
+                grow(nxt, values + [lv.value])
+
+    root = ctx.level(0, 0)
+    assert isinstance(root, SignedLevel)
+    grow((), [root.value])
+
+    neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = {}
+    degree_histogram: dict[int, int] = {}
+    for seq in vertices:
+        outcome = neighbors(seq, ctx)
+        if isinstance(outcome, Violation):
+            violations.append((seq, outcome))
+            continue
+        neighbor_map[seq] = tuple(outcome)
+        d = len(outcome)
+        degree_histogram[d] = degree_histogram.get(d, 0) + 1
+
+    return AuditGraphStats(
+        candidates=total,
+        vertex_count=len(vertices),
+        degree_histogram=degree_histogram,
+        violations=violations,
+        neighbor_map=neighbor_map,
+    )

@@ -29,6 +29,11 @@ def all_sign_vectors(n: int):
         yield SignVector(n, reds, blues)
 
 
+def subset_of(x: SignVector, y: SignVector) -> bool:
+    """Componentwise containment: x.reds within y.reds and x.blues within y.blues."""
+    return x.n == y.n and x.reds & ~y.reds == 0 and x.blues & ~y.blues == 0
+
+
 def sub_vectors(y: SignVector):
     """All x with x below y componentwise, via subsets of y's support."""
     support = [p for p in range(y.n) if (y.reds | y.blues) >> p & 1]

@@ -20,7 +20,6 @@ from altermatic import (
     audit,
     chromatic_number,
     complete_uniform,
-    enumerate_audit_graph,
     kneser_graph,
     random_hypergraph,
     schrijver_hypergraph,
@@ -186,7 +185,7 @@ def test_criterion_9_neighbor_symmetry_and_base_case():
             c = chromatic_number(kneser_graph(h)).coloring
         else:
             c = Coloring((1,) * len(h.edges), 1)
-        stats = enumerate_audit_graph(h, c, k)
+        stats = reference.enumerate_audit_graph(h, c, k)
         for seq, ns in stats.neighbor_map.items():
             for q in ns:
                 if q in stats.neighbor_map:

@@ -22,16 +22,14 @@ from altermatic import (
     audit,
     chromatic_number,
     complete_uniform,
-    enumerate_audit_graph,
     is_proper,
     kneser_graph,
-    max_enclosed_color,
     mask_of,
     neighbors,
     random_hypergraph,
-    subset_of,
     verify_witness,
 )
+from altermatic.reference import enumerate_audit_graph
 from helpers import all_sign_vectors, sub_vectors
 
 PAIRS4 = complete_uniform(4, 2)
@@ -46,12 +44,18 @@ def ctx_for(h, coloring, k=1, order=None):
     return AuditContext(h, coloring, k, order)
 
 
-def test_max_enclosed_color_examples():
+def enclosed_peak(mask, h, c):
+    """Largest color on a hyperedge inside the vertex mask; 0 if none."""
+    return max((col for e, col in zip(h.edges, c.assignment) if e & ~mask == 0), default=0)
+
+
+def test_enclosed_peak_examples():
     h = Hypergraph.from_edge_sets(3, [[1, 2], [3]])
     c = Coloring((2, 1), 2)
-    assert max_enclosed_color(0, h, c) == 0
-    assert max_enclosed_color(mask_of([1, 2]), h, c) == 2
-    assert max_enclosed_color(mask_of([3]), h, c) == 1
+    ctx = ctx_for(h, c)
+    for mask, peak in ((0, 0), (mask_of([1, 2]), 2), (mask_of([3]), 1)):
+        assert enclosed_peak(mask, h, c) == peak
+        assert ctx._peak_of(mask)[0] == peak
 
 
 def test_level_of_empty_pair_is_plus_one():
@@ -100,8 +104,8 @@ def test_level_magnitude_formula():
             assert abs(lv.value) == alt(x) + 1
         else:
             peak = max(
-                max_enclosed_color(ctx.vertex_mask(x.reds), h, c),
-                max_enclosed_color(ctx.vertex_mask(x.blues), h, c),
+                enclosed_peak(ctx.vertex_mask(x.reds), h, c),
+                enclosed_peak(ctx.vertex_mask(x.blues), h, c),
             )
             assert abs(lv.value) == ctx.alt_value + peak - 1 + 2
 

@@ -17,11 +17,10 @@ from altermatic import (
     kneser_graph,
     random_hypergraph,
     schrijver_hypergraph,
-    subset_of,
     verify_theorem,
 )
 from altermatic import reference
-from helpers import all_sign_vectors
+from helpers import all_sign_vectors, subset_of
 
 
 def test_feasible_examples():
@@ -181,6 +180,14 @@ def test_sampled_mode_bounds_exhaustive():
         exact = alt_min(h, 1).alt_value
         sampled = alt_min(h, 1, samples=10, seed=3).alt_value
         assert sampled >= exact  # a sampled minimum can only overshoot
+
+
+def test_sampled_alt_min_draws_orderings_lazily():
+    # the identity already reaches alt 0, so the scan stops before the first
+    # shuffle; a sample list built up front would hold 10**12 orderings
+    h = Hypergraph.from_edge_sets(3, [[1], [2], [3]])
+    rep = alt_min(h, 1, samples=10**12)
+    assert (rep.alt_value, rep.sigma.perm, rep.sigma_mode) == (0, (1, 2, 3), "sampled")
 
 
 def test_lower_bound_arithmetic():

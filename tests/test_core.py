@@ -12,11 +12,10 @@ from altermatic import (
     apply_order,
     complete_uniform,
     restrict,
-    subset_of,
     support_size,
 )
 from altermatic import reference
-from helpers import all_sign_vectors, random_sign_vector, sub_vectors
+from helpers import all_sign_vectors, random_sign_vector, sub_vectors, subset_of
 
 
 def test_alt_reference_word():
@@ -197,7 +196,6 @@ def test_linear_order_validation():
         LinearOrder((1, 1, 2))
     with pytest.raises(ValueError):
         LinearOrder((2, 3))
-    assert LinearOrder.identity(4).vertex_at(2) == 2
 
 
 def test_vertex_cap_default_and_env(monkeypatch):
@@ -207,3 +205,26 @@ def test_vertex_cap_default_and_env(monkeypatch):
     with pytest.raises(ValueError):
         SignVector(11)
     assert SignVector(10).n == 10
+
+
+PUBLIC_API = [
+    "AltReport", "AuditAnomaly", "AuditContext", "ChromaticResult", "Coloring",
+    "Hypergraph", "LinearOrder", "ParseError", "PermissibleSequence",
+    "ProperWithinBound", "SearchLimitError", "SignVector", "SignedLevel",
+    "SimpleGraph", "TheoremCheck", "TieDetected", "Violation", "Witness",
+    "alt", "alt_min", "alt_sigma", "apply_order", "audit", "chromatic_at_most",
+    "chromatic_number", "complete_uniform", "feasible", "is_proper",
+    "kneser_graph", "mask_of", "neighbors", "parse_coloring", "parse_hypergraph",
+    "random_hypergraph", "restrict", "schrijver_hypergraph", "serialize_coloring",
+    "serialize_hypergraph", "support_size", "verify_theorem", "verify_witness",
+    "vertices_of",
+]
+
+
+def test_public_api():
+    # a new export has to be added here on purpose
+    import altermatic
+
+    assert sorted(altermatic.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(altermatic, name) is not None
