@@ -437,10 +437,10 @@ def audit(
     Every returned witness is independently re-verified.  Identical inputs
     walk identical paths and return identical witnesses.
     """
-    ctx = AuditContext(h, c, k, order)
     cap = step_cap if step_cap is not None else step_cap_default()
     if cap < 1:
         raise ValueError("step cap must be positive")
+    ctx = AuditContext(h, c, k, order)
 
     def settle(v: Violation) -> Witness:
         if v.witness is None:

@@ -4,8 +4,9 @@ For an ordering sigma and level k, the search maximizes alt(X) over sign
 words X whose surviving sub-hypergraph (edges inside one color class of X)
 has a Kneser graph colorable with k-1 colors; for k = 1 the requirement is
 that no edge survives at all.  The quantity n - alt + k - 1 is then a lower
-bound on the chromatic number of the full Kneser graph, for every sigma;
-minimizing alt over orderings gives the strongest form.
+bound on the chromatic number of the full Kneser graph, for every sigma
+and every k <= chi + 1; minimizing alt over orderings gives the strongest
+form.
 
 Determining the per-ordering maximum is NP-hard in general, so both the
 per-ordering search and the minimization are exact exponential procedures
@@ -56,6 +57,8 @@ class AltReport:
 
     @property
     def bound(self) -> int:
+        """n - alt + k - 1: a lower bound on chi when k <= chi + 1.  Above
+        that level every word is feasible, alt = n, and k - 1 exceeds chi."""
         return self.n - self.alt_value + self.k - 1
 
 

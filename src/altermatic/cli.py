@@ -16,12 +16,13 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .audit import AuditAnomaly, ProperWithinBound, audit, verify_witness
-from .bounds import alt_min, alt_sigma, factorial_cap, verify_theorem
-from .coloring import Coloring, chromatic_number
+from .bounds import AltReport, alt_min, alt_sigma, factorial_cap, verify_theorem
+from .coloring import Coloring, chromatic_at_most, chromatic_number
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt, support_size, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
@@ -60,8 +61,32 @@ def _emit(report: dict, json_mode: bool) -> None:
         print(f"{key.replace('_', '-')} {value}")
 
 
-def _base_report(command: str) -> dict:
-    return {"command": command, "tool": f"altermatic {__version__}"}
+@contextmanager
+def _request(args):
+    """The frame of every command that reads ``-H``.
+
+    Reads, hashes and parses ``-H``, then ``-c`` where the command has
+    one, and yields ``(h, coloring, report)`` with the shared leading
+    report fields filled in.  The command's body adds its own fields;
+    the frame then appends ``elapsed_s`` and emits.  A body that raises
+    emits nothing.
+    """
+    started = time.perf_counter()
+    text, digest = _read_text(args.hypergraph)
+    h = parse_hypergraph(text)
+    report = {"command": args.cmd, "tool": f"altermatic {__version__}", "input_h_sha256": digest}
+    coloring = None
+    if "coloring" in args:
+        ctext, cdigest = _read_text(args.coloring)
+        report["input_c_sha256"] = cdigest
+        coloring = parse_coloring(ctext, len(h.edges))
+    report["n"] = h.n
+    report["edges"] = len(h.edges)
+    if "k" in args:
+        report["k"] = args.k
+    yield h, coloring, report
+    report["elapsed_s"] = round(time.perf_counter() - started, 3)
+    _emit(report, args.json)
 
 
 def _parse_sigma(raw: str | None, n: int) -> LinearOrder:
@@ -101,14 +126,16 @@ def _alt_mode(args, n: int) -> tuple[int | None, int]:
     return 32, args.seed
 
 
-def _witness_fields(report: dict, w, h: Hypergraph) -> None:
-    report["outcome"] = "witness"
-    report["witness_edge_a"] = w.edge_a + 1
-    report["witness_edge_a_vertices"] = vertices_of(h.edges[w.edge_a])
-    report["witness_edge_b"] = w.edge_b + 1
-    report["witness_edge_b_vertices"] = vertices_of(h.edges[w.edge_b])
-    report["witness_color"] = w.color
-    report["witness_context"] = w.context.word()
+def _within_level(h: Hypergraph, rep: AltReport) -> AltReport:
+    """``rep``, unless its level k exceeds chi + 1, where its bound is false.
+
+    alt < n means KG(H) is not (k-1)-colorable, so k <= chi.  At alt = n
+    the bound is k - 1, which holds exactly when KG(H) is not
+    (k-2)-colorable.
+    """
+    if rep.alt_value == h.n and rep.k >= 2 and chromatic_at_most(kneser_graph(h), rep.k - 2):
+        raise ValueError(f"level k={rep.k} exceeds chi+1: the Kneser graph is {rep.k - 2}-colorable")
+    return rep
 
 
 def _cmd_gen(args) -> int:
@@ -130,117 +157,76 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_chromatic(args) -> int:
-    started = time.perf_counter()
-    text, digest = _read_text(args.hypergraph)
-    h = parse_hypergraph(text)
-    result = chromatic_number(kneser_graph(h))
-    report = _base_report("chromatic")
-    report["input_h_sha256"] = digest
-    report["n"] = h.n
-    report["edges"] = len(h.edges)
-    report["chi"] = result.number
-    report["coloring"] = result.coloring.assignment
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(report, args.json)
+    with _request(args) as (h, _, report):
+        result = chromatic_number(kneser_graph(h))
+        report["chi"] = result.number
+        report["coloring"] = result.coloring.assignment
     if args.coloring_out:
         _write_text(args.coloring_out, serialize_coloring(result.coloring))
     return EXIT_OK
 
 
 def _cmd_altsigma(args) -> int:
-    started = time.perf_counter()
-    text, digest = _read_text(args.hypergraph)
-    h = parse_hypergraph(text)
-    order = _parse_sigma(args.sigma, h.n)
-    rep = alt_sigma(h, order, args.k)
-    report = _base_report("altsigma")
-    report["input_h_sha256"] = digest
-    report["n"] = h.n
-    report["edges"] = len(h.edges)
-    report["k"] = args.k
-    report["sigma"] = order.perm
-    report["sigma_mode"] = rep.sigma_mode
-    report["alt"] = rep.alt_value
-    report["witness"] = rep.witness.word()
-    report["bound"] = rep.bound
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(report, args.json)
+    with _request(args) as (h, _, report):
+        order = _parse_sigma(args.sigma, h.n)
+        rep = _within_level(h, alt_sigma(h, order, args.k))
+        report["sigma"] = order.perm
+        report["sigma_mode"] = rep.sigma_mode
+        report["alt"] = rep.alt_value
+        report["witness"] = rep.witness.word()
+        report["bound"] = rep.bound
     return EXIT_OK
 
 
 def _cmd_altbound(args) -> int:
-    started = time.perf_counter()
-    text, digest = _read_text(args.hypergraph)
-    h = parse_hypergraph(text)
-    samples, seed = _alt_mode(args, h.n)
-    rep = alt_min(h, args.k, samples=samples, seed=seed)
-    report = _base_report("altbound")
-    report["input_h_sha256"] = digest
-    report["n"] = h.n
-    report["edges"] = len(h.edges)
-    report["k"] = args.k
-    report["sigma_mode"] = rep.sigma_mode
-    if samples is not None:
-        report["samples"] = samples
-        report["seed"] = seed
-    report["alt"] = rep.alt_value
-    report["sigma"] = rep.sigma.perm
-    report["witness"] = rep.witness.word()
-    report["bound"] = rep.bound
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(report, args.json)
+    with _request(args) as (h, _, report):
+        samples, seed = _alt_mode(args, h.n)
+        rep = _within_level(h, alt_min(h, args.k, samples=samples, seed=seed))
+        report["sigma_mode"] = rep.sigma_mode
+        if samples is not None:
+            report["samples"] = samples
+            report["seed"] = seed
+        report["alt"] = rep.alt_value
+        report["sigma"] = rep.sigma.perm
+        report["witness"] = rep.witness.word()
+        report["bound"] = rep.bound
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    text, digest = _read_text(args.hypergraph)
-    h = parse_hypergraph(text)
-    samples, seed = _alt_mode(args, h.n)
-    check = verify_theorem(h, args.k, samples=samples, seed=seed)
-    report = _base_report("verify")
-    report["input_h_sha256"] = digest
-    report["n"] = h.n
-    report["edges"] = len(h.edges)
-    report["k"] = args.k
-    report["sigma_mode"] = check.report.sigma_mode
-    report["alt"] = check.report.alt_value
-    report["bound"] = check.bound
-    report["chi"] = check.chi
-    report["holds"] = check.holds
-    report["tight"] = check.tight
-    if not check.holds:
-        report["failure_sigma"] = check.report.sigma.perm
-        report["failure_witness"] = check.report.witness.word()
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(report, args.json)
+    with _request(args) as (h, _, report):
+        samples, seed = _alt_mode(args, h.n)
+        check = verify_theorem(h, args.k, samples=samples, seed=seed)
+        report["sigma_mode"] = check.report.sigma_mode
+        report["alt"] = check.report.alt_value
+        report["bound"] = check.bound
+        report["chi"] = check.chi
+        report["holds"] = check.holds
+        report["tight"] = check.tight
+        if not check.holds:
+            report["failure_sigma"] = check.report.sigma.perm
+            report["failure_witness"] = check.report.witness.word()
     return EXIT_OK if check.holds else EXIT_FAILED
 
 
 def _cmd_audit(args) -> int:
-    started = time.perf_counter()
-    text, digest = _read_text(args.hypergraph)
-    h = parse_hypergraph(text)
-    ctext, cdigest = _read_text(args.coloring)
-    coloring = parse_coloring(ctext, len(h.edges))
-    order = _parse_sigma(args.sigma, h.n)
-    outcome = audit(h, coloring, args.k, order, step_cap=args.step_cap)
-    report = _base_report("audit")
-    report["input_h_sha256"] = digest
-    report["input_c_sha256"] = cdigest
-    report["n"] = h.n
-    report["edges"] = len(h.edges)
-    report["k"] = args.k
-    report["sigma"] = order.perm
-    report["palette"] = coloring.palette
-    if isinstance(outcome, ProperWithinBound):
-        report["outcome"] = "proper-within-bound"
-        report["steps"] = outcome.steps
-    else:
-        _witness_fields(report, outcome, h)
-        report["verified"] = verify_witness(outcome, h, coloring)
-    report["elapsed_s"] = round(time.perf_counter() - started, 3)
-    _emit(report, args.json)
+    with _request(args) as (h, coloring, report):
+        order = _parse_sigma(args.sigma, h.n)
+        outcome = audit(h, coloring, args.k, order, step_cap=args.step_cap)
+        report["sigma"] = order.perm
+        report["palette"] = coloring.palette
+        if isinstance(outcome, ProperWithinBound):
+            report["outcome"] = "proper-within-bound"
+            report["steps"] = outcome.steps
+        else:
+            report["outcome"] = "witness"
+            report["witness_edge_a"] = outcome.edge_a + 1
+            report["witness_edge_a_vertices"] = vertices_of(h.edges[outcome.edge_a])
+            report["witness_edge_b"] = outcome.edge_b + 1
+            report["witness_edge_b_vertices"] = vertices_of(h.edges[outcome.edge_b])
+            report["witness_color"] = outcome.color
+            report["witness_context"] = outcome.context.word()
+            report["verified"] = verify_witness(outcome, h, coloring)
     return EXIT_OK
 
 
@@ -416,10 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchLimitError as exc:

@@ -342,6 +342,15 @@ def test_audit_step_cap():
         audit(complete_uniform(5, 2), optimal_coloring(complete_uniform(5, 2)), 1, step_cap=2)
 
 
+def test_audit_rejects_step_cap_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("alt_sigma ran before the step cap was checked")
+
+    monkeypatch.setattr("altermatic.bounds.alt_sigma", no_search)
+    with pytest.raises(ValueError, match="step cap must be positive"):
+        audit(complete_uniform(5, 2), optimal_coloring(complete_uniform(5, 2)), 1, step_cap=0)
+
+
 def test_audit_rejects_malformed_coloring():
     with pytest.raises(ValueError):
         audit(PAIRS4, Coloring((1, 1), 1), 1)

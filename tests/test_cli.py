@@ -1,15 +1,21 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     ChromaticResult,
     Coloring,
     Hypergraph,
     alt_min,
+    chromatic_number,
     complete_uniform,
+    kneser_graph,
     parse_hypergraph,
     random_hypergraph,
     serialize_hypergraph,
@@ -264,3 +270,327 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "selftest passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("altbound", "-k", "9"), ("altsigma", "-k", "5"), ("altbound", "-k", "5", "--json")],
+    ids=" ".join,
+)
+def test_level_beyond_chi_plus_one_is_usage_error(capsys, tmp_path, argv):
+    # chi(KG(5,2)) = 3: at k = 5 and 9 every word is feasible and the
+    # bound k - 1 would exceed chi.
+    code, out, err = run(capsys, argv[0], "-H", write_kneser(tmp_path, 5, 2), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: level k={argv[2]} exceeds chi+1")
+
+
+def test_level_chi_plus_one_still_bounds(capsys, tmp_path):
+    code, out, _ = run(capsys, "altsigma", "-H", write_kneser(tmp_path, 5, 2), "-k", "4")
+    assert code == 0
+    assert report_dict(out)["bound"] == "3"
+
+
+def test_edgeless_levels(capsys, tmp_path):
+    path = tmp_path / "edgeless.hg"
+    path.write_text("n 3\n")
+    path = str(path)
+    code, out, _ = run(capsys, "altsigma", "-H", path, "-k", "1")
+    assert code == 0
+    assert report_dict(out)["bound"] == "0"
+    code, out, err = run(capsys, "altsigma", "-H", path, "-k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: level k=2 exceeds chi+1")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.frozensets(st.integers(1, n), min_size=1), max_size=8),
+        )
+    ),
+    st.integers(1, 5),
+)
+def test_bound_never_exceeds_chi(hypergraph, k):
+    n, edges = hypergraph
+    h = Hypergraph.from_edge_sets(n, sorted(sorted(e) for e in edges))
+    chi = chromatic_number(kneser_graph(h)).number
+    for command in ("altsigma", "altbound"):
+        out, err = io.StringIO(), io.StringIO()
+        stdin = io.StringIO(serialize_hypergraph(h))
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-H", "-", "-k", str(k), "--json"])
+        if k > chi + 1:
+            assert code == 2 and out.getvalue() == ""
+            assert "exceeds chi+1" in err.getvalue()
+        else:
+            assert code == 0, err.getvalue()
+            assert json.loads(out.getvalue())["bound"] <= chi
+
+
+# Exact reports of each input command on KG(5,2) and SG(6,2), rendered
+# below in both formats; only the trailing elapsed-s line is left out.
+GOLDEN_INPUTS = {
+    "kg52.hg": "n 5\n1 2\n1 3\n1 4\n1 5\n2 3\n2 4\n2 5\n3 4\n3 5\n4 5\n",
+    "kg52-one.col": "1\n" * 10,
+    "kg52-proper.col": "1\n1\n1\n1\n2\n2\n3\n2\n3\n3\n",
+    "sg62.hg": "n 6\n1 3\n1 4\n1 5\n2 4\n2 5\n2 6\n3 5\n3 6\n4 6\n",
+    "sg62-one.col": "1\n" * 9,
+    "sg62-proper.col": "1\n1\n1\n2\n2\n2\n3\n3\n4\n",
+}
+KG52_SHA = "24df60f3665933b08efdc171d2dd0b59e84fedac0df12e98be82eead08d29b76"
+SG62_SHA = "e3dfcd3fd7d3f139a6ab50d78a7d98c7104a4a639861191fb1d8842ac94ee99c"
+GOLDEN = [
+    (
+        ("chromatic", "-H", "kg52.hg", "-o", "-"),
+        {"command": "chromatic",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "n": 5,
+         "edges": 10,
+         "chi": 3,
+         "coloring": [1, 1, 1, 1, 2, 2, 3, 2, 3, 3]},
+        "1\n1\n1\n1\n2\n2\n3\n2\n3\n3\n",
+    ),
+    (
+        ("altsigma", "-H", "kg52.hg", "-k", "2", "--sigma", "2 4 1 5 3"),
+        {"command": "altsigma",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "n": 5,
+         "edges": 10,
+         "k": 2,
+         "sigma": [2, 4, 1, 5, 3],
+         "sigma_mode": "single",
+         "alt": 3,
+         "witness": "00RBR",
+         "bound": 3},
+        "",
+    ),
+    (
+        ("altbound", "-H", "kg52.hg", "-k", "2"),
+        {"command": "altbound",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "n": 5,
+         "edges": 10,
+         "k": 2,
+         "sigma_mode": "exhaustive",
+         "alt": 3,
+         "sigma": [1, 2, 3, 4, 5],
+         "witness": "00RBR",
+         "bound": 3},
+        "",
+    ),
+    (
+        ("altbound", "-H", "kg52.hg", "-k", "1", "--samples", "5", "--seed", "3"),
+        {"command": "altbound",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "n": 5,
+         "edges": 10,
+         "k": 1,
+         "sigma_mode": "sampled",
+         "samples": 5,
+         "seed": 3,
+         "alt": 2,
+         "sigma": [1, 2, 3, 4, 5],
+         "witness": "000RB",
+         "bound": 3},
+        "",
+    ),
+    (
+        ("verify", "-H", "kg52.hg", "-k", "1"),
+        {"command": "verify",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "n": 5,
+         "edges": 10,
+         "k": 1,
+         "sigma_mode": "exhaustive",
+         "alt": 2,
+         "bound": 3,
+         "chi": 3,
+         "holds": True,
+         "tight": True},
+        "",
+    ),
+    (
+        ("audit", "-H", "kg52.hg", "-k", "1", "-c", "kg52-one.col"),
+        {"command": "audit",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "input_c_sha256": "9538e71364e030fa5cb12310065b555dc371cca0eccc44a9530624b5be45929a",
+         "n": 5,
+         "edges": 10,
+         "k": 1,
+         "sigma": [1, 2, 3, 4, 5],
+         "palette": 1,
+         "outcome": "witness",
+         "witness_edge_a": 3,
+         "witness_edge_a_vertices": [1, 4],
+         "witness_edge_b": 5,
+         "witness_edge_b_vertices": [2, 3],
+         "witness_color": 1,
+         "witness_context": "RBBR0",
+         "verified": True},
+        "",
+    ),
+    (
+        ("audit", "-H", "kg52.hg", "-k", "1", "-c", "kg52-proper.col"),
+        {"command": "audit",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": KG52_SHA,
+         "input_c_sha256": "7c738a5612b40afdbe56d363ac3190b03bc8ff85ef22fd4924335c186648cfbe",
+         "n": 5,
+         "edges": 10,
+         "k": 1,
+         "sigma": [1, 2, 3, 4, 5],
+         "palette": 3,
+         "outcome": "proper-within-bound",
+         "steps": 9},
+        "",
+    ),
+    (
+        ("chromatic", "-H", "sg62.hg", "-o", "-"),
+        {"command": "chromatic",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "n": 6,
+         "edges": 9,
+         "chi": 4,
+         "coloring": [1, 1, 1, 2, 2, 2, 3, 3, 4]},
+        "1\n1\n1\n2\n2\n2\n3\n3\n4\n",
+    ),
+    (
+        ("altsigma", "-H", "sg62.hg", "-k", "2", "--sigma", "6 1 5 2 4 3"),
+        {"command": "altsigma",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "n": 6,
+         "edges": 9,
+         "k": 2,
+         "sigma": [6, 1, 5, 2, 4, 3],
+         "sigma_mode": "single",
+         "alt": 5,
+         "witness": "0RBRBR",
+         "bound": 2},
+        "",
+    ),
+    (
+        ("altbound", "-H", "sg62.hg", "-k", "2"),
+        {"command": "altbound",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "n": 6,
+         "edges": 9,
+         "k": 2,
+         "sigma_mode": "exhaustive",
+         "alt": 3,
+         "sigma": [1, 2, 3, 4, 5, 6],
+         "witness": "000RBR",
+         "bound": 4},
+        "",
+    ),
+    (
+        ("altbound", "-H", "sg62.hg", "-k", "1", "--samples", "5", "--seed", "3"),
+        {"command": "altbound",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "n": 6,
+         "edges": 9,
+         "k": 1,
+         "sigma_mode": "sampled",
+         "samples": 5,
+         "seed": 3,
+         "alt": 3,
+         "sigma": [1, 2, 3, 4, 5, 6],
+         "witness": "R000BR",
+         "bound": 3},
+        "",
+    ),
+    (
+        ("verify", "-H", "sg62.hg", "-k", "1"),
+        {"command": "verify",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "n": 6,
+         "edges": 9,
+         "k": 1,
+         "sigma_mode": "exhaustive",
+         "alt": 3,
+         "bound": 3,
+         "chi": 4,
+         "holds": True,
+         "tight": False},
+        "",
+    ),
+    (
+        ("audit", "-H", "sg62.hg", "-k", "1", "-c", "sg62-one.col"),
+        {"command": "audit",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "input_c_sha256": "406b56cb84cb1d73807fef0915cc9f5d6710fd82f78b507c3e5fc616e378b0f4",
+         "n": 6,
+         "edges": 9,
+         "k": 1,
+         "sigma": [1, 2, 3, 4, 5, 6],
+         "palette": 1,
+         "outcome": "witness",
+         "witness_edge_a": 1,
+         "witness_edge_a_vertices": [1, 3],
+         "witness_edge_b": 4,
+         "witness_edge_b_vertices": [2, 4],
+         "witness_color": 1,
+         "witness_context": "RBRB00",
+         "verified": True},
+        "",
+    ),
+    (
+        ("audit", "-H", "sg62.hg", "-k", "1", "-c", "sg62-proper.col"),
+        {"command": "audit",
+         "tool": "altermatic 0.1.0",
+         "input_h_sha256": SG62_SHA,
+         "input_c_sha256": "4dc3170a3524d35f1cc57b38e87c04947beffc261a8d8d222d6f5ca31cebab58",
+         "n": 6,
+         "edges": 9,
+         "k": 1,
+         "sigma": [1, 2, 3, 4, 5, 6],
+         "palette": 4,
+         "outcome": "proper-within-bound",
+         "steps": 25},
+        "",
+    ),
+]
+
+
+def drop_elapsed(text):
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith(("elapsed-s ", '  "elapsed_s": '))
+    )
+
+
+def render(report, json_mode):
+    report = {**report, "elapsed_s": 0.0}
+    if json_mode:
+        return drop_elapsed(json.dumps(report, indent=2) + "\n")
+    lines = []
+    for key, value in report.items():
+        if isinstance(value, list):
+            value = " ".join(map(str, value))
+        lines.append(f"{key.replace('_', '-')} {value}\n")
+    return drop_elapsed("".join(lines))
+
+
+@pytest.mark.parametrize("argv, report, tail", GOLDEN, ids=[" ".join(a for a in case[0] if a != "-H") for case in GOLDEN])
+def test_golden_reports(capsys, tmp_path, argv, report, tail):
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in GOLDEN_INPUTS else a for a in argv]
+    for json_mode in (False, True):
+        code, out, err = run(capsys, *argv, *(["--json"] if json_mode else []))
+        assert (code, err) == (0, "")
+        assert drop_elapsed(out) == render(report, json_mode) + tail
