@@ -29,7 +29,6 @@ from .audit import (
     PermissibleSequence,
     ProperWithinBound,
     SignedLevel,
-    TieDetected,
     Violation,
     Witness,
     audit,
@@ -56,7 +55,6 @@ __all__ = [
     "SignedLevel",
     "SimpleGraph",
     "TheoremCheck",
-    "TieDetected",
     "Violation",
     "Witness",
     "alt",

@@ -69,7 +69,8 @@ class SignedLevel:
     position is red.  High band: ceiling + (maximum color enclosed by either
     side) - k + 2, signed by the side attaining it; the attaining edges are
     kept for witness extraction.  Values beyond n can only appear when the
-    palette exceeds the audited regime.
+    palette exceeds the audited regime.  A pair whose sides tie gets a
+    ``Violation`` instead, so a chain is checked as it is levelled.
     """
 
     value: int
@@ -78,15 +79,8 @@ class SignedLevel:
 
 
 @dataclass(frozen=True)
-class TieDetected:
-    """Both sides enclose the same maximum color: immediate witness."""
-
-    witness: Witness
-
-
-@dataclass(frozen=True)
 class Violation:
-    """A rule failure met while computing neighbors.
+    """A level tie or rule failure met while levelling a chain.
 
     Carries a verified ``witness`` when the failure certifies the coloring
     improper, otherwise a diagnostic ``detail`` describing the anomaly.
@@ -136,7 +130,7 @@ class PermissibleSequence:
         return out
 
 
-LevelOutcome = Union[SignedLevel, TieDetected]
+LevelOutcome = Union[SignedLevel, Violation]
 NeighborOutcome = Union[list[PermissibleSequence], Violation]
 
 
@@ -207,7 +201,8 @@ class AuditContext:
         return got
 
     def level(self, reds: int, blues: int) -> LevelOutcome:
-        """Signed level of the position-space pair (reds, blues)."""
+        """Signed level of the position-space pair (reds, blues), or the
+        ``Violation`` of a level tie."""
         key = (reds, blues)
         got = self._level.get(key)
         if got is None:
@@ -233,11 +228,11 @@ class AuditContext:
             # feasibility ceiling) but carry fewer than k color classes, so
             # some class holds a disjoint pair; only reachable for k >= 2
             # with an improper coloring.
-            return TieDetected(self._monochromatic_survivors(reds, blues))
+            return Violation(self._monochromatic_survivors(reds, blues), "level tie")
         if hr == hb:
             assert pr is not None and pb is not None
             witness = Witness(pr, pb, hr, SignVector(self.n, reds, blues))
-            return TieDetected(witness)
+            return Violation(witness, "level tie")
         magnitude = self.alt_value + max(hr, hb) - self.k + 2
         assert magnitude >= self.alt_value + 2
         if hr > hb:
@@ -268,17 +263,6 @@ class AuditContext:
         return self.h.n
 
 
-def _chain_levels(ctx: AuditContext, seq: PermissibleSequence):
-    """Levels along the chain, or the TieDetected that blocked them."""
-    out = []
-    for reds, blues in seq.pairs():
-        lv = ctx.level(reds, blues)
-        if isinstance(lv, TieDetected):
-            return None, lv
-        out.append(lv.value)
-    return out, None
-
-
 def _swap_steps(seq: PermissibleSequence, i: int) -> PermissibleSequence:
     """Exchange the insertion order of chain steps i and i+1 (1-based)."""
     s = list(seq.steps)
@@ -303,15 +287,23 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
     The empty chain's mirror is itself and is discarded, leaving its single
     append neighbor.  An append whose position exceeds n is dropped (only
     reachable when the palette exceeds the audited regime), which is what
-    lets beyond-regime walks terminate.  Any level tie, any antipodal level
-    pair along the chain, and any failure of the dichotomy or of the
-    produced chains' permissibility comes back as a ``Violation`` - with a
-    witness whenever the failure certifies the coloring improper.
+    lets beyond-regime walks terminate.  ``seq`` itself is checked here, not
+    the chains it produces, which are checked when they are levelled in
+    turn: any level tie along ``seq``, a step missing from its levels, any
+    antipodal level pair, and any failure of the dichotomy comes back as a
+    ``Violation`` - with a witness whenever the failure certifies the
+    coloring improper.
     """
     m = seq.length
-    values, tie = _chain_levels(ctx, seq)
-    if values is None:
-        return Violation(tie.witness, "level tie along the chain")
+    values = []
+    for reds, blues in seq.pairs():
+        lv = ctx.level(reds, blues)
+        if isinstance(lv, Violation):
+            return lv
+        values.append(lv.value)
+    support = set(seq.steps)
+    if not support <= set(values):
+        return Violation(None, f"chain {seq.steps} is not permissible (levels {values})")
 
     # Antipodal levels on nested pairs certify a monochromatic disjoint pair.
     for i in range(m + 1):
@@ -319,7 +311,6 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
             if values[i] == -values[j]:
                 return _antipodal_violation(ctx, seq, values, i, j)
 
-    support = set(seq.steps)
     plateau = [i for i in range(m) if values[i] == values[i + 1]]
     missing = [i for i in range(m + 1) if values[i] not in support]
 
@@ -355,16 +346,6 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
             None,
             f"rule dichotomy failed: plateaus at {plateau}, unmatched levels at {missing}, levels {values}",
         )
-
-    for q in produced:
-        q_values, q_tie = _chain_levels(ctx, q)
-        if q_values is None:
-            return Violation(q_tie.witness, "level tie on a produced neighbor")
-        if not set(q.steps) <= set(q_values):
-            return Violation(
-                None,
-                f"produced chain {q.steps} is not permissible (levels {q_values})",
-            )
     return produced
 
 
@@ -425,7 +406,8 @@ def audit(
     """Walk the audit graph and extract a monochromatic disjoint edge pair.
 
     Starting at the empty chain (the unique degree-one vertex) the walk
-    moves to whichever neighbor is not the vertex it just left.  While the
+    moves to whichever neighbor is not the vertex it just left, and checks
+    each chain once, as ``neighbors`` levels it on arrival.  While the
     coloring uses at most n - alt + k - 2 colors, every interior vertex has
     exactly two neighbors unless a rule violation reveals a witness, and a
     violation must eventually occur, so the walk is the constructive proof
@@ -449,32 +431,24 @@ def audit(
             raise AuditAnomaly(f"witness failed re-verification: {v.witness}")
         return v.witness
 
-    prev = PermissibleSequence(h.n)
-    outcome = neighbors(prev, ctx)
-    if isinstance(outcome, Violation):
-        return settle(outcome)
-    cur = outcome[0]
-    steps = 1
-    while steps <= cap:
+    prev, cur, steps = None, PermissibleSequence(h.n), 0
+    while True:
         outcome = neighbors(cur, ctx)
         if isinstance(outcome, Violation):
             return settle(outcome)
+        if steps > cap:
+            raise SearchLimitError(f"audit walk exceeded step cap {cap}")
         onward = [q for q in outcome if q != prev]
-        if len(onward) == len(outcome):
+        if prev is not None and len(onward) == len(outcome):
             raise AuditAnomaly(
                 f"walk arrived at {cur.steps} which does not list {prev.steps} as a neighbor"
             )
         if not onward:
-            return _terminal_check(ctx, steps, settle)
+            clash = first_clash(kneser_graph(h), c)
+            if clash is None:
+                return ProperWithinBound(steps)
+            a, b = clash
+            witness = Witness(a, b, c.assignment[a], SignVector(h.n))
+            return settle(Violation(witness, "direct properness scan"))
         prev, cur = cur, onward[0]
         steps += 1
-    raise SearchLimitError(f"audit walk exceeded step cap {cap}")
-
-
-def _terminal_check(ctx: AuditContext, steps: int, settle) -> Witness | ProperWithinBound:
-    clash = first_clash(kneser_graph(ctx.h), ctx.c)
-    if clash is None:
-        return ProperWithinBound(steps)
-    a, b = clash
-    witness = Witness(a, b, ctx.c.assignment[a], SignVector(ctx.n))
-    return settle(Violation(witness, "direct properness scan"))

@@ -44,13 +44,6 @@ def _read_text(path: str) -> tuple[str, str]:
     return text, digest
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _emit(report: dict, json_mode: bool) -> None:
     if json_mode:
         print(json.dumps(report, indent=2, sort_keys=False))
@@ -71,6 +64,8 @@ def _request(args):
     the frame then appends ``elapsed_s`` and emits.  A body that raises
     emits nothing.
     """
+    if args.hypergraph == "-" == getattr(args, "coloring", None):
+        raise ValueError("-H and -c cannot both read stdin")
     started = time.perf_counter()
     text, digest = _read_text(args.hypergraph)
     h = parse_hypergraph(text)
@@ -161,8 +156,11 @@ def _cmd_chromatic(args) -> int:
         result = chromatic_number(kneser_graph(h))
         report["chi"] = result.number
         report["coloring"] = result.coloring.assignment
-    if args.coloring_out:
-        _write_text(args.coloring_out, serialize_coloring(result.coloring))
+        # A file is written before the report, so a failed write emits none.
+        if args.coloring_out and args.coloring_out != "-":
+            Path(args.coloring_out).write_text(serialize_coloring(result.coloring), encoding="utf-8")
+    if args.coloring_out == "-":
+        sys.stdout.write(serialize_coloring(result.coloring))
     return EXIT_OK
 
 

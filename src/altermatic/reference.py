@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .audit import AuditContext, PermissibleSequence, SignedLevel, TieDetected, Violation, neighbors
+from .audit import AuditContext, PermissibleSequence, SignedLevel, Violation, neighbors
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, SimpleGraph
 from .coloring import Coloring, chromatic_at_most
 from .kneser import kneser_graph
@@ -179,10 +179,8 @@ def enumerate_audit_graph(
                 nxt = steps + (s,)
                 reds, blues = PermissibleSequence(n, nxt).pairs()[-1]
                 lv = ctx.level(reds, blues)
-                if isinstance(lv, TieDetected):
-                    violations.append(
-                        (PermissibleSequence(n, nxt), Violation(lv.witness, "level tie"))
-                    )
+                if isinstance(lv, Violation):
+                    violations.append((PermissibleSequence(n, nxt), lv))
                     continue
                 grow(nxt, values + [lv.value])
 

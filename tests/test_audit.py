@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     AuditContext,
@@ -14,7 +15,6 @@ from altermatic import (
     SearchLimitError,
     SignVector,
     SignedLevel,
-    TieDetected,
     Violation,
     Witness,
     alt,
@@ -86,7 +86,7 @@ def test_level_tie_yields_witness():
     c = Coloring((2, 1, 3, 4, 1, 5), 5)
     ctx = ctx_for(PAIRS4, c)
     lv = ctx.level(mask_of([1, 3]), mask_of([2, 4]))
-    assert isinstance(lv, TieDetected)
+    assert isinstance(lv, Violation) and lv.detail == "level tie"
     w = lv.witness
     assert (w.edge_a, w.edge_b, w.color) == (1, 4, 1)
     assert verify_witness(w, PAIRS4, c)
@@ -179,11 +179,19 @@ def test_singleton_chain_neighbors():
 
 
 def neighbor_census(h, coloring, k=1):
+    # neighbors checks only the chain it is given, so every produced chain
+    # is checked here in turn: it lists its producer, or its violation
+    # certifies the coloring improper
     stats = enumerate_audit_graph(h, coloring, k)
+    ctx = ctx_for(h, coloring, k)
     for seq, ns in stats.neighbor_map.items():
         for q in ns:
-            if q in stats.neighbor_map:
-                assert seq in stats.neighbor_map[q], (seq.steps, q.steps)
+            back = neighbors(q, ctx)
+            if isinstance(back, Violation):
+                assert back.witness is not None, (seq.steps, q.steps, back.detail)
+                assert verify_witness(back.witness, h, coloring)
+            else:
+                assert seq in back, (seq.steps, q.steps)
     return stats
 
 
@@ -386,3 +394,25 @@ def test_beyond_regime_tie_found_by_final_scan():
     assert isinstance(w, Witness)
     assert verify_witness(w, PAIRS4, c)
     assert (w.edge_a, w.edge_b, w.color) == (1, 4, 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.data())
+def test_every_audit_outcome_is_sound(data):
+    n = data.draw(st.integers(1, 6))
+    edges = data.draw(st.sets(st.frozensets(st.integers(1, n), min_size=1), max_size=8))
+    h = Hypergraph.from_edge_sets(n, sorted(sorted(e) for e in edges))
+    palette = data.draw(st.integers(1, 4))
+    colors = data.draw(st.lists(st.integers(1, palette), min_size=len(h.edges), max_size=len(h.edges)))
+    c = Coloring(tuple(colors), palette)
+    k = data.draw(st.integers(1, 3))
+    order = LinearOrder(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    out = audit(h, c, k, order)  # an AuditAnomaly fails the test
+    g = kneser_graph(h)
+    if isinstance(out, Witness):
+        assert verify_witness(out, h, c)
+    else:
+        assert isinstance(out, ProperWithinBound) and is_proper(g, c)
+    # the theorem's regime: such a coloring cannot be proper
+    if k <= chromatic_number(g).number + 1 and palette <= n - alt_sigma(h, order, k).alt_value + k - 2:
+        assert isinstance(out, Witness)

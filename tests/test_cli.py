@@ -95,6 +95,13 @@ def test_chromatic_writes_witness_file(capsys, tmp_path):
     assert len(lines) == 6 and set(lines) == {"1", "2"}
 
 
+def test_chromatic_unwritable_output_emits_no_report(capsys, tmp_path):
+    path = write_kneser(tmp_path, 4, 2)
+    code, out, err = run(capsys, "chromatic", "-H", path, "-o", str(tmp_path / "missing" / "x.col"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_altbound_pairs_of_five(capsys, tmp_path):
     path = write_kneser(tmp_path, 5, 2)
     code, out, _ = run(capsys, "altbound", "-H", path, "-k", "1", "--exhaustive")
@@ -251,6 +258,16 @@ def test_stdin_dash(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "chromatic", "-H", "-")
     assert code == 0
     assert report_dict(out)["chi"] == "2"
+
+
+def test_audit_rejects_both_inputs_on_stdin(capsys, monkeypatch):
+    text = serialize_hypergraph(complete_uniform(4, 2))
+    stdin = io.StringIO(text)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, "audit", "-H", "-", "-c", "-", "-k", "1")
+    assert code == 2 and out == ""
+    assert err == "error: -H and -c cannot both read stdin\n"
+    assert stdin.read() == text  # rejected before anything was read
 
 
 def test_env_caps_respected(capsys, tmp_path, monkeypatch):

@@ -211,7 +211,7 @@ PUBLIC_API = [
     "AltReport", "AuditAnomaly", "AuditContext", "ChromaticResult", "Coloring",
     "Hypergraph", "LinearOrder", "ParseError", "PermissibleSequence",
     "ProperWithinBound", "SearchLimitError", "SignVector", "SignedLevel",
-    "SimpleGraph", "TheoremCheck", "TieDetected", "Violation", "Witness",
+    "SimpleGraph", "TheoremCheck", "Violation", "Witness",
     "alt", "alt_min", "alt_sigma", "apply_order", "audit", "chromatic_at_most",
     "chromatic_number", "complete_uniform", "feasible", "is_proper",
     "kneser_graph", "mask_of", "neighbors", "parse_coloring", "parse_hypergraph",
