@@ -205,16 +205,52 @@ def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:
     return AltReport(outcome[0], outcome[1], order, k, "single")
 
 
-def _ordering_stream(n: int):
-    """Lexicographic scan of orderings, one representative per reversal pair.
+def _twin_pairs(h: Hypergraph) -> tuple[tuple[int, int], ...]:
+    """Pairs (u, v) of twins, v the next larger member of u's twin class.
+
+    u and v are twins when swapping them maps E(H) onto itself.  Twinship
+    is an equivalence relation, since (u w) = (u v)(v w)(u v), so each
+    class is found by testing its least member against the larger
+    unplaced vertices; the class of u then reads as the chain of pairs
+    starting at u.  Isolated vertices form one class.
+    """
+    edges = set(h.edges)
+    pairs = []
+    placed = set()
+    for u in range(1, h.n + 1):
+        if u in placed:
+            continue
+        last = u
+        for v in range(u + 1, h.n + 1):
+            both = (1 << (u - 1)) | (1 << (v - 1))
+            # the swap fixes the edges holding both or neither of u, v
+            if v not in placed and all(e ^ both in edges for e in edges if 0 < e & both < both):
+                pairs.append((last, v))
+                last = v
+                placed.add(v)
+    return tuple(pairs)
+
+
+def _ordering_stream(n: int, twins: tuple[tuple[int, int], ...]):
+    """Lexicographic scan of orderings, one representative per reversal
+    pair and per arrangement of twin classes.
 
     Reversing an ordering reverses every sign word without changing its
     alternation count or its survivor sets, so an ordering and its reverse
     always agree; the lexicographically smaller one stands for both.
+
+    For each pair (u, v) of ``twins`` (see ``_twin_pairs``) only orderings
+    listing u before v are kept, so each twin class appears in increasing
+    order.  Swapping two twins maps E(H) onto itself, so orderings that
+    differ by such swaps see the same slot hypergraph, up to the numbering
+    of its edges: their searches take the same branches and return the
+    same alt and witness word.  Without twins the stream is the plain
+    reversal-filtered permutation scan.
     """
-    for perm in permutations(range(1, n + 1)):
-        if n == 1 or perm[0] < perm[-1]:
-            yield perm
+    stream = (p for p in permutations(range(1, n + 1)) if n == 1 or p[0] < p[-1])
+    for u, v in twins:
+        stream = filter(lambda p, u=u, v=v: p.index(u) < p.index(v), stream)
+    return stream
 
 
 def _sampled_orderings(n: int, samples: int, seed: int):
@@ -231,12 +267,20 @@ def _sampled_orderings(n: int, samples: int, seed: int):
 def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
-    Exhaustive mode scans every ordering (n bounded by the factorial cap)
-    and reports the first ordering attaining the minimum in the scan order
-    of ``_ordering_stream``.  Sampled mode scans the identity plus
-    ``samples`` seeded random orderings and is flagged as such: the result
-    can overshoot the true minimum but every scanned ordering already
-    certifies its own chromatic bound, so the report stays sound.
+    Exhaustive mode (n bounded by the factorial cap) scans the orderings
+    of ``_ordering_stream`` and reports the first one attaining the
+    minimum: the lexicographically first minimiser over all n! orderings.
+    The scan skips an ordering when its reverse, or an ordering obtained
+    by sorting twin vertices (``_twin_pairs``) within their positions,
+    comes earlier; either has the same alt and witness, and the first
+    minimiser survives both cuts, because sorting the values within fixed
+    positions is lexicographically smallest and a minimiser's reverse is
+    a minimiser too.  So twin reduction changes no report.
+
+    Sampled mode scans the identity plus ``samples`` seeded random
+    orderings and is flagged as such: the result can overshoot the true
+    minimum but every scanned ordering already certifies its own
+    chromatic bound, so the report stays sound.
     """
     n = h.n
     search = _AltSearch(h, k)
@@ -249,7 +293,7 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
         cap = factorial_cap()
         if n > cap:
             raise ValueError(f"exhaustive ordering scan refused for n={n} > cap {cap}; use sampled mode")
-        orderings = _ordering_stream(n)
+        orderings = _ordering_stream(n, _twin_pairs(h))
     else:
         if samples < 1:
             raise ValueError(f"sample count must be positive, got {samples}")

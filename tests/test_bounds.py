@@ -1,8 +1,10 @@
 """Alternation searches, minimization over orderings, and the bound itself."""
 
 import random
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     Hypergraph,
@@ -19,7 +21,7 @@ from altermatic import (
     schrijver_hypergraph,
     verify_theorem,
 )
-from altermatic import reference
+from altermatic import bounds, reference
 from helpers import all_sign_vectors, subset_of
 
 
@@ -125,11 +127,18 @@ def test_alt_min_golden_reports():
         ("SG(7,2)", 2): (3, (1, 2, 3, 4, 5, 6, 7), "0000RBR"),
         ("random", 1): (3, (1, 2, 4, 3, 5, 6), "R000BR"),
         ("random", 2): (4, (1, 2, 3, 4, 6, 5), "0RB0RB"),
+        ("KG(8,3)", 1): (4, (1, 2, 3, 4, 5, 6, 7, 8), "0000RBRB"),
+        ("SG(8,2)", 1): (3, (1, 2, 3, 4, 5, 6, 7, 8), "R00000BR"),
+        ("C4+2", 1): (4, (1, 2, 4, 5, 3, 6), "0RBR0B"),
     }
     graphs = {
         "KG(6,2)": complete_uniform(6, 2),
         "SG(7,2)": schrijver_hypergraph(7, 2),
         "random": random_hypergraph(6, 10, (1, 3), 17),
+        "KG(8,3)": complete_uniform(8, 3),
+        "SG(8,2)": schrijver_hypergraph(8, 2),
+        # a 4-cycle (twin classes {1,3} and {2,4}) and two isolated vertices
+        "C4+2": Hypergraph.from_edge_sets(6, [[1, 2], [2, 3], [3, 4], [1, 4]]),
     }
     for (name, k), expected in cases.items():
         rep = alt_min(graphs[name], k)
@@ -161,17 +170,62 @@ def test_alt_min_exhaustive_cap():
 
 
 def test_alt_min_exhaustive_equals_scan():
-    # the threshold/reversal cuts must not change the answer
-    from itertools import permutations
-
+    # the threshold/reversal/twin cuts must not change the answer: the
+    # report is the lexicographically first minimising ordering
     for seed in range(4):
         h = random_hypergraph(5, 7, (1, 3), 400 + seed)
         for k in (1, 2):
             via_scan = min(
-                alt_sigma(h, LinearOrder(p), k).alt_value
+                (alt_sigma(h, LinearOrder(p), k).alt_value, p)
                 for p in permutations(range(1, 6))
             )
-            assert alt_min(h, k).alt_value == via_scan
+            rep = alt_min(h, k)
+            assert (rep.alt_value, rep.sigma.perm) == via_scan
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.data())
+def test_alt_min_is_first_minimiser_with_planted_twins(data):
+    n = data.draw(st.integers(3, 6))
+    verts = data.draw(st.permutations(range(1, n + 1)))
+    isolated = data.draw(st.integers(1, min(2, n - 1)))
+    active = verts[isolated:]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(active) - 1), max_size=2)) if len(active) > 1 else ())
+    classes = [active[a:b] for a, b in zip([0, *cuts], [*cuts, len(active)])]
+    # each edge type takes ``m`` members of each class in all possible
+    # ways, so the edge set is closed under permutations within classes
+    edges = set()
+    for _ in range(data.draw(st.integers(1, 4))):
+        counts = [data.draw(st.integers(0, len(c))) for c in classes]
+        for parts in product(*(combinations(c, m) for c, m in zip(classes, counts))):
+            if any(parts):
+                edges.add(frozenset(v for part in parts for v in part))
+    if not edges:
+        edges.add(frozenset(classes[0]))
+    h = Hypergraph.from_edge_sets(n, sorted(sorted(e) for e in edges))
+    k = data.draw(st.integers(1, 3))
+    first = min((alt_sigma(h, LinearOrder(p), k).alt_value, p) for p in permutations(range(1, n + 1)))
+    rep = alt_min(h, k)
+    assert (rep.alt_value, rep.sigma.perm) == first
+    assert rep.witness == alt_sigma(h, rep.sigma, k).witness
+
+
+def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
+    # machine-independent work count: every vertex of KG(m,r) is a twin of
+    # every other, so one ordering settles it; SG(7,2) has no twins and
+    # keeps the full reversal-filtered scan of 7!/2 orderings
+    calls = []
+    run = bounds._AltSearch.run
+
+    def counting(self, perm, threshold=None):
+        calls.append(perm)
+        return run(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting)
+    for h, expected in ((complete_uniform(8, 2), 1), (complete_uniform(8, 3), 1), (schrijver_hypergraph(7, 2), 2520)):
+        calls.clear()
+        alt_min(h, 1)
+        assert len(calls) == expected
 
 
 def test_sampled_mode_bounds_exhaustive():

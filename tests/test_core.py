@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     Hypergraph,
@@ -50,6 +51,13 @@ def test_alt_matches_enumeration_sampled():
     for _ in range(300):
         x = random_sign_vector(rng, rng.randint(1, 8))
         assert alt(x) == reference.alt_by_enumeration(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.text(alphabet="RB0", min_size=1, max_size=12))
+def test_alt_matches_enumeration_property(word):
+    x = SignVector.from_word(word)
+    assert alt(x) == reference.alt_by_enumeration(x)
 
 
 def test_subset_examples():

@@ -1,6 +1,7 @@
 """Hypergraph and coloring file formats."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     Coloring,
@@ -85,6 +86,24 @@ def test_roundtrip_preserves_edge_order():
         assert again.edges == h.edges  # order included
     with_comment = serialize_hypergraph(complete_uniform(4, 2), comment="made by a test")
     assert parse_hypergraph(with_comment) == complete_uniform(4, 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(1, n), min_size=1), unique=True, max_size=15),
+        )
+    ),
+    st.none() | st.text(),
+)
+def test_roundtrip_property(hypergraph, comment):
+    n, edges = hypergraph
+    h = Hypergraph.from_edge_sets(n, edges)
+    text = serialize_hypergraph(h, comment=comment)
+    again = parse_hypergraph(text)
+    assert (again.n, again.edges) == (h.n, h.edges)  # edge order included
 
 
 def test_parse_coloring_basic():
