@@ -142,17 +142,24 @@ class _AltSearch:
         the entries of a longest alternating subsequence of any optimal word
         form a word with the same alt, and it is feasible because
         feasibility is downward closed.  So the walk gives each slot, in
-        order, either 0 (tried first) or the sign opposite to the last
-        nonzero one, and alt is the number of nonzero slots.  The first
-        nonzero sign is R: swapping the two colors everywhere preserves
-        both alt and feasibility, so the mirror image is never better.  A
-        branch dies as soon as its partial word is infeasible or its alt
-        ceiling (current alt plus unassigned slots) cannot beat the best
-        found.
+        order, either 0 or the sign opposite to the last nonzero one, and
+        alt is the number of nonzero slots.  The first nonzero sign is R:
+        swapping the two colors everywhere preserves both alt and
+        feasibility, so the mirror image is never better.  A branch dies as
+        soon as its partial word is infeasible or its alt ceiling (current
+        alt plus unassigned slots) cannot beat the best found.
 
-        With ``threshold`` set, returns None as soon as some feasible word
-        reaches alt >= threshold; used by the minimization to discard
-        orderings that cannot improve on the current minimum.
+        The walk makes two passes.  The first tries the sign before 0 at
+        every slot, so it meets high-alt words early: with ``threshold``
+        set it returns None as soon as some feasible word reaches alt >=
+        threshold (the minimization uses this to discard orderings that
+        cannot improve on the current minimum), and otherwise it ends with
+        the exact maximum A.  The second pass tries 0 first, which visits
+        words in lexicographic order with 0 before a sign, and stops at the
+        first word of alt A; its ceiling cuts at A - 1 only drop subtrees
+        without such a word.  So the witness is the lexicographically least
+        optimal word, and a returned result does not depend on
+        ``threshold``.
         """
         n = self.h.n
         limit = n + 1 if threshold is None else threshold
@@ -161,6 +168,7 @@ class _AltSearch:
 
         best = -1
         best_sides = (0, 0)
+        zero_first = False
         k = self.k
         by_vertex = self.by_vertex
 
@@ -176,23 +184,30 @@ class _AltSearch:
                     return
             if depth == n or cur + (n - depth) <= best:
                 return
-            walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
-            if best >= limit:
-                return
+            if zero_first:
+                walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
+                if best >= limit:
+                    return
             v = perm[depth]
             side = nxt | (1 << (v - 1))
             fresh = 0
             for bit, e in by_vertex[v]:
                 if e & ~side == 0:
                     if k == 1:
-                        return
+                        break  # an edge became monochromatic: no sign here
                     fresh |= bit
-            if fresh and not self._chrom_ok(surv | fresh):
-                return
-            walk(depth + 1, prev, side, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
+            else:
+                if not fresh or self._chrom_ok(surv | fresh):
+                    walk(depth + 1, prev, side, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
+            if not zero_first and best < limit:
+                walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
 
         walk(0, 0, 0, 0, 0, 0, 0)
-        return None if best >= limit else (best, SignVector(n, *best_sides))
+        if best >= limit:
+            return None
+        best, limit, zero_first = best - 1, best, True
+        walk(0, 0, 0, 0, 0, 0, 0)
+        return best, SignVector(n, *best_sides)
 
 
 def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:

@@ -6,7 +6,8 @@ byte-identical output except for the trailing timing field.  ``-`` stands
 for stdin on inputs and stdout on outputs.
 
 Exit codes: 0 success, 1 verification failure (or internal audit anomaly),
-2 usage, parse or unreadable-input error, 3 resource cap hit.
+2 usage, parse or unreadable-input error, 3 resource cap hit, 141 (128 +
+SIGPIPE) when the reader of standard output has gone.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 def _read_text(path: str) -> tuple[str, str]:
@@ -396,7 +399,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the report any more.  Send what stdout still buffers
+        # to devnull, so that flushing it at interpreter exit prints nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

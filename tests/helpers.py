@@ -1,8 +1,9 @@
 """Shared generators for the test suite."""
 
 import random
+from itertools import product
 
-from altermatic import SignVector, SimpleGraph
+from altermatic import Hypergraph, LinearOrder, SignVector, SimpleGraph, apply_order, reference
 
 
 def random_sign_vector(rng: random.Random, n: int) -> SignVector:
@@ -52,3 +53,29 @@ def sub_vectors(y: SignVector):
 def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return SimpleGraph.from_edges(n, pairs)
+
+
+def first_optimal_word(h: Hypergraph, order: LinearOrder, k: int) -> tuple[int, SignVector]:
+    """(alt, witness) of one ordering by brute force over slot words.
+
+    Only strictly alternating words opening with R are tried; each is fixed
+    by its support, whose slots take R, B, R, ... in turn.  Supports come
+    in lexicographic order with 0 before a sign, so the first feasible word
+    of the largest alt is the lexicographically least optimal word.
+    """
+    best = -1
+    for support in product((0, 1), repeat=h.n):
+        reds = blues = count = 0
+        for p, used in enumerate(support):
+            if used:
+                if count % 2:
+                    blues |= 1 << p
+                else:
+                    reds |= 1 << p
+                count += 1
+        if count > best:
+            word = SignVector(h.n, reds, blues)
+            vertex_word = apply_order(word, order)
+            if reference.feasible_by_scan(h, vertex_word.reds, vertex_word.blues, k):
+                best, witness = count, word
+    return best, witness

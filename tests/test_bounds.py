@@ -22,7 +22,16 @@ from altermatic import (
     verify_theorem,
 )
 from altermatic import bounds, reference
-from helpers import all_sign_vectors, subset_of
+from helpers import all_sign_vectors, first_optimal_word, sub_vectors, subset_of
+
+
+@st.composite
+def small_instances(draw):
+    """(h, order, k): n <= 6, at most 8 distinct edges, a shuffled ordering, k in 1..3."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=8))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Hypergraph(n, tuple(edges)), LinearOrder(tuple(perm)), draw(st.integers(1, 3))
 
 
 def test_feasible_examples():
@@ -84,6 +93,27 @@ def test_alt_sigma_under_permuted_orders():
             assert alt_sigma(h, order, k).alt_value == reference.alt_sigma_by_enumeration(h, order, k)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(small_instances())
+def test_alt_sigma_witness_is_first_optimal_word(instance):
+    # the witness rule on its own, whatever order the walk takes
+    h, order, k = instance
+    rep = alt_sigma(h, order, k)
+    assert (rep.alt_value, rep.witness) == first_optimal_word(h, order, k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(small_instances())
+def test_run_threshold_is_a_decision(instance):
+    # run(perm, t) is None exactly when the maximum reaches t, and is the
+    # full answer otherwise; one search serves every t, as in alt_min
+    h, order, k = instance
+    search = bounds._AltSearch(h, k)
+    full = search.run(order.perm)
+    for t in range(h.n + 2):
+        assert search.run(order.perm, t) == (None if full[0] >= t else full), t
+
+
 def test_alt_sigma_nondecreasing_in_k():
     for seed in range(6):
         h = random_hypergraph(6, 10, (1, 3), 300 + seed)
@@ -103,6 +133,21 @@ def test_feasibility_downward_closed():
             for y in all_sign_vectors(5):
                 if subset_of(y, x):
                     assert status[(y.reds, y.blues)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(small_instances(), st.data())
+def test_feasibility_downward_closed_property(instance, data):
+    h, order, k = instance
+    x = data.draw(st.builds(SignVector.from_word, st.text("RB0", min_size=h.n, max_size=h.n)))
+    # drop entries in a drawn order until x is feasible, so the claim is never vacuous
+    for p in data.draw(st.permutations(range(h.n))):
+        if feasible(h, x, order, k):
+            break
+        x = SignVector(h.n, x.reds & ~(1 << p), x.blues & ~(1 << p))
+    assert feasible(h, x, order, k)
+    for y in sub_vectors(x):
+        assert feasible(h, y, order, k)
 
 
 def test_alt_min_vertex_transitive_family():

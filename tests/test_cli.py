@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import sys
 from unittest import mock
 
 import pytest
@@ -220,6 +222,34 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_broken_pipe_exits_141_quietly(capsys, tmp_path, monkeypatch, failing):
+    # the reader of stdout has gone (``... | grep -q``): no error line, exit
+    # 128 + SIGPIPE, and the stdout descriptor now leads to devnull, so the
+    # flush at interpreter exit cannot fail again
+    path = write_kneser(tmp_path, 4, 2)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+
+    class GoneReader(io.StringIO):
+        def fileno(self):
+            return write_end
+
+    def broken(*_):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    stdout = GoneReader()
+    setattr(stdout, failing, broken)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["altbound", "-H", path, "-k", "1"])
+        assert os.write(write_end, b"x") == 1
+    finally:
+        os.close(write_end)
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_exhaustive_cap_is_usage_error(capsys, tmp_path):
