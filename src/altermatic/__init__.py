@@ -37,6 +37,11 @@ from .audit import (
 )
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 
+# The oracle module loads with the package, like every library module: a
+# module first imported while a caller has wrapped one of the library's
+# functions (as a profiler does) would keep the wrapper for good.
+from . import reference  # noqa: F401
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -220,6 +220,24 @@ def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:
     return AltReport(outcome[0], outcome[1], order, k, "single")
 
 
+def seed_bound(h: Hypergraph) -> tuple[int, int]:
+    """(bound, k): the larger altermatic bound of the identity ordering at
+    k = 1 and k = 2, with the level that gives it.
+
+    Both levels are valid when ``h`` has an edge, since then chi >= 1 and
+    k <= 2 <= chi + 1; without edges the bound is 0 at k = 1.  alt at k = 2
+    is at least alt at k = 1, so the k = 2 bound is larger only when the two
+    are equal, and the k = 2 search stops at its first word beyond alt1.
+    On KG(m,r) the k = 1 bound equals chi; on SG(m,r) only the k = 2 one
+    does (Schrijver 1978).
+    """
+    perm = tuple(range(1, h.n + 1))
+    alt1 = _AltSearch(h, 1).run(perm)[0]
+    if h.edges and _AltSearch(h, 2).run(perm, threshold=alt1 + 1) is not None:
+        return h.n - alt1 + 1, 2
+    return h.n - alt1, 1
+
+
 def _twin_pairs(h: Hypergraph) -> tuple[tuple[int, int], ...]:
     """Pairs (u, v) of twins, v the next larger member of u's twin class.
 

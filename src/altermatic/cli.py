@@ -23,12 +23,11 @@ from pathlib import Path
 
 from . import __version__
 from .audit import AuditAnomaly, ProperWithinBound, audit, verify_witness
-from .bounds import AltReport, alt_min, alt_sigma, factorial_cap, verify_theorem
-from .coloring import Coloring, chromatic_at_most, chromatic_number
-from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt, support_size, vertices_of
+from .bounds import AltReport, alt_min, alt_sigma, factorial_cap, seed_bound, verify_theorem
+from .coloring import chromatic_at_most, chromatic_number, greedy_clique
+from .core import Hypergraph, LinearOrder, SearchLimitError, SimpleGraph, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
-from . import reference
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -154,10 +153,24 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _chi_proof(g: SimpleGraph, chi: int, seed: int, level: int) -> str:
+    """What proves that ``g`` needs ``chi`` colors: its greedy clique, the
+    altermatic bound ``seed`` at ``level``, or else the exact search, which
+    refuted chi - 1 colors."""
+    if chi == len(greedy_clique(g)):
+        return "clique"
+    if chi == seed:
+        return f"altermatic-k{level}"
+    return "search"
+
+
 def _cmd_chromatic(args) -> int:
     with _request(args) as (h, _, report):
-        result = chromatic_number(kneser_graph(h))
+        g = kneser_graph(h)
+        seed, level = seed_bound(h)
+        result = chromatic_number(g, lower=seed)
         report["chi"] = result.number
+        report["chi_proof"] = _chi_proof(g, result.number, seed, level)
         report["coloring"] = result.coloring.assignment
         # A file is written before the report, so a failed write emits none.
         if args.coloring_out and args.coloring_out != "-":
@@ -231,97 +244,6 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _selftest_checks():
-    petersen = complete_uniform(5, 2)
-    pairs4 = complete_uniform(4, 2)
-
-    def words():
-        x = SignVector.from_word("RRBB0R0RB")
-        assert alt(x) == 4 and support_size(x) == 7
-        assert alt(SignVector(6)) == 0
-        assert reference.alt_by_enumeration(x) == 4
-
-    def alt_scan_oracle():
-        import random as _random
-
-        rng = _random.Random(20240901)
-        for _ in range(200):
-            n = rng.randint(1, 8)
-            reds = blues = 0
-            for p in range(n):
-                r = rng.random()
-                if r < 1 / 3:
-                    reds |= 1 << p
-                elif r < 2 / 3:
-                    blues |= 1 << p
-            x = SignVector(n, reds, blues)
-            assert alt(x) == reference.alt_by_enumeration(x)
-
-    def chromatic_families():
-        assert chromatic_number(kneser_graph(pairs4)).number == 2
-        assert chromatic_number(kneser_graph(petersen)).number == 3
-        assert chromatic_number(kneser_graph(schrijver_hypergraph(5, 2))).number == 3
-
-    def chromatic_oracle():
-        for seed in range(6):
-            h = random_hypergraph(6, 8, (1, 3), seed)
-            g = kneser_graph(h)
-            assert chromatic_number(g).number == reference.chromatic_by_enumeration(g)
-
-    def alt_search_oracle():
-        for seed in range(4):
-            h = random_hypergraph(5, 6, (1, 3), seed)
-            order = LinearOrder.identity(5)
-            for k in (1, 2):
-                assert alt_sigma(h, order, k).alt_value == reference.alt_sigma_by_enumeration(h, order, k)
-
-    def theorem_holds():
-        for seed in range(8):
-            h = random_hypergraph(6, 9, (1, 4), 100 + seed)
-            for k in (1, 2):
-                assert verify_theorem(h, k).holds
-
-    def audit_witness():
-        ones = Coloring((1,) * 6, 1)
-        w = audit(pairs4, ones, 1)
-        assert verify_witness(w, pairs4, ones)
-
-    def audit_graph_shape():
-        proper = chromatic_number(kneser_graph(pairs4)).coloring
-        stats = reference.enumerate_audit_graph(pairs4, proper, 1)
-        empty = [s for s in stats.neighbor_map if s.length == 0]
-        assert len(empty) == 1
-        assert [q.steps for q in stats.neighbor_map[empty[0]]] == [(1,)]
-        for seq, ns in stats.neighbor_map.items():
-            for q in ns:
-                assert q not in stats.neighbor_map or seq in stats.neighbor_map[q]
-
-    return [
-        ("alternating-word-basics", words),
-        ("alt-scan-vs-enumeration", alt_scan_oracle),
-        ("chromatic-families", chromatic_families),
-        ("chromatic-vs-enumeration", chromatic_oracle),
-        ("alt-search-vs-enumeration", alt_search_oracle),
-        ("bound-below-chi", theorem_holds),
-        ("audit-extracts-witness", audit_witness),
-        ("audit-graph-shape", audit_graph_shape),
-    ]
-
-
-def _cmd_selftest(args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except Exception as exc:  # noqa: BLE001 - report and keep going
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"ok {name}")
-    print(f"selftest {'failed' if failures else 'passed'} ({failures} failures)")
-    return EXIT_FAILED if failures else EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altermatic",
@@ -385,9 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     aud.add_argument("--sigma", help="ordering as space-separated vertex ids, default identity")
     aud.add_argument("--step-cap", type=int, default=None, help="walk step budget")
     aud.set_defaults(func=_cmd_audit)
-
-    st = sub.add_parser("selftest", help="run the embedded example and oracle checks")
-    st.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -9,7 +9,7 @@ neighbors of that color's vertices; a vertex's saturation is the number
 of masks holding it, and backtracking restores one mask.  The search
 runs on an explicit stack, so its depth is not limited by Python's
 recursion limit.  The chromatic number is the least budget, counted up
-from the clique size, that the decision accepts.
+from the clique size or a proven lower bound, that the decision accepts.
 
 Each solve call owns its search state, so distinct calls may run
 concurrently; a single call is single-threaded.
@@ -169,17 +169,20 @@ def chromatic_at_most(g: SimpleGraph, t: int) -> bool:
     return _decide(g, t) is not None
 
 
-def chromatic_number(g: SimpleGraph) -> ChromaticResult:
+def chromatic_number(g: SimpleGraph, *, lower: int = 1) -> ChromaticResult:
     """Least color count with a witness coloring that attains it.
 
-    Runs the exact decision for t = max(greedy clique size, 1), t + 1, ...
-    and returns the first budget that succeeds; a budget of one color per
-    vertex always does.  The witness is deterministic and, since every
-    smaller budget failed, uses exactly the returned number of colors.
+    Runs the exact decision for t = max(greedy clique size, ``lower``, 1),
+    t + 1, ... and returns the first budget that succeeds; a budget of one
+    color per vertex always does.  ``lower`` must be a proven lower bound
+    on the chromatic number, such as an altermatic bound: the rungs below
+    it are never tried.  The witness is the decision's coloring at the
+    returned budget, so it does not depend on ``lower``, and since every
+    smaller budget fails it uses exactly the returned number of colors.
     """
     if g.vcount == 0:
         return ChromaticResult(0, Coloring((), 0))
-    t = max(len(greedy_clique(g)), 1)
+    t = max(len(greedy_clique(g)), lower, 1)
     while True:
         found = _decide(g, t)
         if found is not None:

@@ -6,8 +6,7 @@ subsequence enumeration, restricted-growth-string assignment enumeration,
 full ternary enumeration of sign words.  The census enumerates every
 permissible chain of one audit context, where the audit walk visits only
 the chains on its path.  They exist to cross-check the fast paths in the
-test suite, the command line self-test and the audit demo; never call
-them for real work.
+test suite and the audit demo; never call them for real work.
 """
 
 from __future__ import annotations

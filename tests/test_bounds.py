@@ -331,3 +331,32 @@ def test_verify_theorem_rejects_large_k():
     with pytest.raises(ValueError):
         verify_theorem(complete_uniform(5, 2), 5)  # chi=3 allows k up to 4
     assert verify_theorem(complete_uniform(5, 2), 4).tight
+
+
+def test_seed_bound_is_the_larger_identity_bound_and_at_most_chi():
+    for seed in range(60):
+        n = 4 + seed % 4
+        h = random_hypergraph(n, 1 + seed % 14, (1, 3), 500 + seed)
+        bound, k = bounds.seed_bound(h)
+        order = LinearOrder.identity(n)
+        b1, b2 = alt_sigma(h, order, 1).bound, alt_sigma(h, order, 2).bound
+        assert (bound, k) == ((b2, 2) if b2 > b1 else (b1, 1))
+        assert bound <= chromatic_number(kneser_graph(h)).number
+    assert bounds.seed_bound(Hypergraph(4, ())) == (0, 1)
+
+
+def test_seed_bound_is_tight_on_kneser_and_schrijver_families():
+    # k = 1 is tight on KG(m,r); on SG(m,r), r >= 2, only k = 2 is
+    for m in range(2, 10):
+        for r in range(1, m // 2 + 1):
+            chi = m - 2 * r + 2
+            assert bounds.seed_bound(complete_uniform(m, r)) == (chi, 1)
+            assert bounds.seed_bound(schrijver_hypergraph(m, r)) == (chi, 1 if r == 1 else 2)
+
+
+def test_chromatic_number_from_the_seed_matches_the_full_ladder():
+    cases = [random_hypergraph(4 + s % 5, 1 + s % 14, (1, 3), 600 + s) for s in range(40)]
+    cases += [f(m, r) for m in range(2, 10) for r in range(1, m // 2 + 1) for f in (complete_uniform, schrijver_hypergraph)]
+    for h in cases:
+        g = kneser_graph(h)
+        assert chromatic_number(g, lower=bounds.seed_bound(h)[0]) == chromatic_number(g)

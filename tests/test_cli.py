@@ -20,8 +20,10 @@ from altermatic import (
     kneser_graph,
     parse_hypergraph,
     random_hypergraph,
+    schrijver_hypergraph,
     serialize_hypergraph,
 )
+from altermatic import cli, coloring
 from altermatic.cli import main
 
 
@@ -86,6 +88,59 @@ def test_chromatic_on_more_kneser_vertices_than_the_recursion_limit(capsys, tmp_
     code, out, err = run(capsys, "chromatic", "-H", str(path))
     assert code == 0, err
     assert report_dict(out)["chi"] == "3"
+
+
+@pytest.mark.parametrize(
+    "family, m, r, chi, proof",
+    [
+        (complete_uniform, 10, 2, 8, "altermatic-k1"),
+        (complete_uniform, 9, 3, 5, "altermatic-k1"),
+        (schrijver_hypergraph, 10, 2, 8, "altermatic-k2"),
+        (schrijver_hypergraph, 11, 2, 9, "altermatic-k2"),
+    ],
+    ids=["KG(10,2)", "KG(9,3)", "SG(10,2)", "SG(11,2)"],
+)
+def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch, family, m, r, chi, proof):
+    # The altermatic seed equals chi here, so the ladder starts at chi and
+    # makes one decision on the command's Kneser graph, never refuting
+    # chi - 1.  The k = 2 seed search decides survivor graphs of its own,
+    # which are not counted.
+    graphs, budgets = [], []
+    real_kneser, real_decide = cli.kneser_graph, coloring._decide
+
+    def recording_kneser(h):
+        graphs.append(real_kneser(h))
+        return graphs[-1]
+
+    def counting_decide(g, t):
+        if any(g is seen for seen in graphs):
+            budgets.append(t)
+        return real_decide(g, t)
+
+    monkeypatch.setattr(cli, "kneser_graph", recording_kneser)
+    monkeypatch.setattr(coloring, "_decide", counting_decide)
+    path = tmp_path / "h.hg"
+    path.write_text(serialize_hypergraph(family(m, r)))
+    code, out, err = run(capsys, "chromatic", "-H", str(path))
+    assert code == 0, err
+    rep = report_dict(out)
+    assert (rep["chi"], rep["chi-proof"]) == (str(chi), proof)
+    assert budgets == [chi]
+
+
+@pytest.mark.parametrize(
+    "h, chi, proof",
+    [(complete_uniform(4, 2), 2, "clique"), (random_hypergraph(6, 12, (2, 2), 9), 4, "search")],
+    ids=["KG(4,2)", "R(6,12)"],
+)
+def test_chi_proof_names_clique_or_search(capsys, tmp_path, h, chi, proof):
+    # the clique, or else (seed and clique both below chi) the exact search
+    path = tmp_path / "h.hg"
+    path.write_text(serialize_hypergraph(h))
+    code, out, _ = run(capsys, "chromatic", "-H", str(path), "--json")
+    rep = json.loads(out)
+    assert (code, rep["chi"], rep["chi_proof"]) == (0, chi, proof)
+    assert list(rep)[list(rep).index("chi") + 1] == "chi_proof"
 
 
 def test_chromatic_writes_witness_file(capsys, tmp_path):
@@ -313,12 +368,6 @@ def test_env_caps_respected(capsys, tmp_path, monkeypatch):
     assert code == 2 and "cap" in err
 
 
-def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "selftest passed" in out
-
-
 @pytest.mark.parametrize(
     "argv",
     [("altbound", "-k", "9"), ("altsigma", "-k", "5"), ("altbound", "-k", "5", "--json")],
@@ -398,6 +447,7 @@ GOLDEN = [
          "n": 5,
          "edges": 10,
          "chi": 3,
+         "chi_proof": "altermatic-k1",
          "coloring": [1, 1, 1, 1, 2, 2, 3, 2, 3, 3]},
         "1\n1\n1\n1\n2\n2\n3\n2\n3\n3\n",
     ),
@@ -508,6 +558,7 @@ GOLDEN = [
          "n": 6,
          "edges": 9,
          "chi": 4,
+         "chi_proof": "altermatic-k2",
          "coloring": [1, 1, 1, 2, 2, 2, 3, 3, 4]},
         "1\n1\n1\n2\n2\n2\n3\n3\n4\n",
     ),

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     Coloring,
@@ -99,6 +100,37 @@ def test_kneser_graphs_against_oracle():
     for seed in range(8):
         g = kneser_graph(random_hypergraph(6, 8, (1, 3), seed))
         assert chromatic_number(g).number == reference.chromatic_by_enumeration(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(small_graphs())
+def test_decide_is_exact_at_every_budget(g):
+    # None exactly below chi, else a proper coloring within the budget: a
+    # ladder may start at any proven lower bound and lose nothing
+    chi = reference.chromatic_by_enumeration(g)
+    for t in range(g.vcount + 2):
+        found = _decide(g, t)
+        if t < chi:
+            assert found is None, t
+        else:
+            assert found is not None and is_proper(g, Coloring(tuple(found), t)), t
+
+
+def test_lower_bound_skips_rungs_and_keeps_the_witness():
+    rng = random.Random(59)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        full = chromatic_number(g)
+        for lower in range(full.number + 1):
+            assert chromatic_number(g, lower=lower) == full
 
 
 def test_odd_cycle_longer_than_the_recursion_limit():
