@@ -20,17 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, _env_int, alt_masks, vertices_of
+from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt_masks, vertices_of
 from .coloring import Coloring, first_clash
 from .kneser import kneser_graph
 from . import bounds
 
+# Walk move budget unless the caller passes ``step_cap`` (``--step-cap``).
 DEFAULT_STEP_CAP = 10_000_000
-
-
-def step_cap_default() -> int:
-    """Walk step budget (ALTERMATIC_STEP_CAP, default ten million)."""
-    return _env_int("ALTERMATIC_STEP_CAP", DEFAULT_STEP_CAP)
 
 
 class AuditAnomaly(RuntimeError):
@@ -401,7 +397,7 @@ def audit(
     c: Coloring,
     k: int,
     order: LinearOrder | None = None,
-    step_cap: int | None = None,
+    step_cap: int = DEFAULT_STEP_CAP,
 ) -> Witness | ProperWithinBound:
     """Walk the audit graph and extract a monochromatic disjoint edge pair.
 
@@ -416,11 +412,14 @@ def audit(
     properness scan, returning ``ProperWithinBound`` when it passes and the
     first clashing pair as an ordinary witness when it does not.
 
+    The walk makes at most ``step_cap`` moves, whatever its outcome: the
+    budget is checked before each move, and a walk that needs one more
+    raises ``SearchLimitError``.
+
     Every returned witness is independently re-verified.  Identical inputs
     walk identical paths and return identical witnesses.
     """
-    cap = step_cap if step_cap is not None else step_cap_default()
-    if cap < 1:
+    if step_cap < 1:
         raise ValueError("step cap must be positive")
     ctx = AuditContext(h, c, k, order)
 
@@ -436,8 +435,6 @@ def audit(
         outcome = neighbors(cur, ctx)
         if isinstance(outcome, Violation):
             return settle(outcome)
-        if steps > cap:
-            raise SearchLimitError(f"audit walk exceeded step cap {cap}")
         onward = [q for q in outcome if q != prev]
         if prev is not None and len(onward) == len(outcome):
             raise AuditAnomaly(
@@ -450,5 +447,7 @@ def audit(
             a, b = clash
             witness = Witness(a, b, c.assignment[a], SignVector(h.n))
             return settle(Violation(witness, "direct properness scan"))
+        if steps >= step_cap:
+            raise SearchLimitError(f"audit walk exceeded step cap {step_cap}")
         prev, cur = cur, onward[0]
         steps += 1

@@ -20,17 +20,13 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import Hypergraph, LinearOrder, SignVector, _env_int, restrict
+from .core import Hypergraph, LinearOrder, SignVector, restrict
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
 from .kneser import disjointness_graph, kneser_graph
 
-DEFAULT_FACTORIAL_CAP = 8
-
-
-def factorial_cap() -> int:
-    """Largest n for which exhaustive ordering scans are allowed
-    (ALTERMATIC_FACTORIAL_CAP, default 8)."""
-    return _env_int("ALTERMATIC_FACTORIAL_CAP", DEFAULT_FACTORIAL_CAP)
+# Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
+# orderings before twin reduction.
+FACTORIAL_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -300,7 +296,7 @@ def _sampled_orderings(n: int, samples: int, seed: int):
 def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
-    Exhaustive mode (n bounded by the factorial cap) scans the orderings
+    Exhaustive mode (n at most ``FACTORIAL_CAP``) scans the orderings
     of ``_ordering_stream`` and reports the first one attaining the
     minimum: the lexicographically first minimiser over all n! orderings.
     The scan skips an ordering when its reverse, or an ordering obtained
@@ -323,9 +319,10 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
         return AltReport(n, search.alternating_word(), LinearOrder.identity(n), k, mode)
 
     if samples is None:
-        cap = factorial_cap()
-        if n > cap:
-            raise ValueError(f"exhaustive ordering scan refused for n={n} > cap {cap}; use sampled mode")
+        if n > FACTORIAL_CAP:
+            raise ValueError(
+                f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
+            )
         orderings = _ordering_stream(n, _twin_pairs(h))
     else:
         if samples < 1:

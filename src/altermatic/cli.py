@@ -22,8 +22,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .audit import AuditAnomaly, ProperWithinBound, audit, verify_witness
-from .bounds import AltReport, alt_min, alt_sigma, factorial_cap, seed_bound, verify_theorem
+from .audit import DEFAULT_STEP_CAP, AuditAnomaly, ProperWithinBound, audit, verify_witness
+from .bounds import FACTORIAL_CAP, AltReport, alt_min, alt_sigma, seed_bound, verify_theorem
 from .coloring import chromatic_at_most, chromatic_number, greedy_clique
 from .core import Hypergraph, LinearOrder, SearchLimitError, SimpleGraph, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
@@ -118,7 +118,7 @@ def _alt_mode(args, n: int) -> tuple[int | None, int]:
         return None, 0
     if args.samples is not None:
         return args.samples, args.seed
-    if n <= factorial_cap():
+    if n <= FACTORIAL_CAP:
         return None, 0
     return 32, args.seed
 
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(aud, coloring=True)
     aud.add_argument("-k", type=int, required=True)
     aud.add_argument("--sigma", help="ordering as space-separated vertex ids, default identity")
-    aud.add_argument("--step-cap", type=int, default=None, help="walk step budget")
+    aud.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP, help="walk step budget")
     aud.set_defaults(func=_cmd_audit)
 
     return parser

@@ -8,7 +8,6 @@ everything in this module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -19,23 +18,13 @@ class SearchLimitError(RuntimeError):
     """A configured resource cap (step budget, enumeration size) was hit."""
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def vertex_cap() -> int:
-    """Largest supported vertex count (ALTERMATIC_N_CAP, default 63).
+    """Largest supported vertex count, the constant ``DEFAULT_VERTEX_CAP``.
 
     The cap is a guard rail: the searches in this library enumerate up to
     3**n sign vectors, which is hopeless long before n reaches 63.
     """
-    return _env_int("ALTERMATIC_N_CAP", DEFAULT_VERTEX_CAP)
+    return DEFAULT_VERTEX_CAP
 
 
 def mask_of(vertices: Iterable[int]) -> int:

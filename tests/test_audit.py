@@ -350,6 +350,20 @@ def test_audit_step_cap():
         audit(complete_uniform(5, 2), optimal_coloring(complete_uniform(5, 2)), 1, step_cap=2)
 
 
+def test_audit_step_cap_bounds_every_outcome_by_moves():
+    # A walk of s moves finishes with step_cap = s and raises with s - 1,
+    # whether it ends at a witness or proper.
+    h = complete_uniform(6, 2)
+    stars = Coloring(tuple(min(min(vs), 3) for vs in h.edge_sets()), 3)
+    assert isinstance(audit(h, stars, 1, step_cap=19), Witness)
+    with pytest.raises(SearchLimitError, match="step cap 18"):
+        audit(h, stars, 1, step_cap=18)
+    h = complete_uniform(5, 2)
+    assert audit(h, optimal_coloring(h), 1, step_cap=9) == ProperWithinBound(9)
+    with pytest.raises(SearchLimitError, match="step cap 8"):
+        audit(h, optimal_coloring(h), 1, step_cap=8)
+
+
 def test_audit_rejects_step_cap_before_searching(monkeypatch):
     def no_search(*args):
         raise AssertionError("alt_sigma ran before the step cap was checked")

@@ -355,17 +355,38 @@ def test_audit_rejects_both_inputs_on_stdin(capsys, monkeypatch):
     assert stdin.read() == text  # rejected before anything was read
 
 
-def test_env_caps_respected(capsys, tmp_path, monkeypatch):
+def test_caps_are_reached_through_inputs(capsys, tmp_path):
     path = write_kneser(tmp_path, 4, 2)
     col = tmp_path / "proper.col"
     col.write_text("1\n1\n1\n2\n2\n2\n")
-    monkeypatch.setenv("ALTERMATIC_STEP_CAP", "1")
-    code, _, _ = run(capsys, "audit", "-H", path, "-k", "1", "-c", str(col))
+    code, _, _ = run(capsys, "audit", "-H", path, "-k", "1", "-c", str(col), "--step-cap", "1")
     assert code == 3
-    monkeypatch.delenv("ALTERMATIC_STEP_CAP")
-    monkeypatch.setenv("ALTERMATIC_FACTORIAL_CAP", "3")
-    code, _, err = run(capsys, "altbound", "-H", path, "-k", "1", "--exhaustive")
+    code, _, err = run(capsys, "altbound", "-H", write_kneser(tmp_path, 9, 2), "-k", "1", "--exhaustive")
     assert code == 2 and "cap" in err
+
+
+def test_environment_sets_no_cap(capsys, tmp_path, monkeypatch):
+    # The caps are constants: variables that once set them change no result.
+    kg52 = write_kneser(tmp_path, 5, 2)
+    kg42 = write_kneser(tmp_path, 4, 2, "kg42.hg")
+    col = tmp_path / "proper.col"
+    col.write_text("1\n1\n1\n2\n2\n2\n")
+
+    def results():
+        parsed = parse_hypergraph("n 5\n1 2\n3 4\n")
+        outs = []
+        for argv in (("altbound", "-H", kg52, "-k", "1", "--exhaustive"),
+                     ("audit", "-H", kg42, "-k", "1", "-c", str(col))):
+            code, out, err = run(capsys, *argv)
+            outs.append((code, [line for line in out.splitlines() if not line.startswith("elapsed-s")], err))
+        return parsed, outs
+
+    clean = results()
+    assert [code for code, _, _ in clean[1]] == [0, 0]
+    monkeypatch.setenv("ALTERMATIC_N_CAP", "4")
+    monkeypatch.setenv("ALTERMATIC_FACTORIAL_CAP", "3")
+    monkeypatch.setenv("ALTERMATIC_STEP_CAP", "abc")
+    assert results() == clean
 
 
 @pytest.mark.parametrize(

@@ -206,13 +206,12 @@ def test_linear_order_validation():
         LinearOrder((2, 3))
 
 
-def test_vertex_cap_default_and_env(monkeypatch):
-    with pytest.raises(ValueError):
-        Hypergraph(64, ())  # default cap is 63
-    monkeypatch.setenv("ALTERMATIC_N_CAP", "10")
-    with pytest.raises(ValueError):
-        SignVector(11)
-    assert SignVector(10).n == 10
+def test_vertex_cap_bounds_hypergraphs_and_sign_vectors():
+    with pytest.raises(ValueError, match="vertex cap 63"):
+        Hypergraph(64, ())
+    with pytest.raises(ValueError, match="vertex cap 63"):
+        SignVector(64)
+    assert Hypergraph(63, ()).n == SignVector(63).n == 63
 
 
 PUBLIC_API = [
