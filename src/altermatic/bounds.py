@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 from .core import Hypergraph, LinearOrder, SignVector, restrict
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
@@ -27,6 +27,8 @@ from .kneser import disjointness_graph, kneser_graph
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
 # orderings before twin reduction.
 FACTORIAL_CAP = 8
+# Seeded shuffles ``seed_bound`` tries after the identity ordering.
+SEED_ORDERINGS = 128
 
 
 @dataclass(frozen=True)
@@ -216,22 +218,45 @@ def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:
     return AltReport(outcome[0], outcome[1], order, k, "single")
 
 
-def seed_bound(h: Hypergraph) -> tuple[int, int]:
-    """(bound, k): the larger altermatic bound of the identity ordering at
-    k = 1 and k = 2, with the level that gives it.
+def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, tuple[int, ...]]:
+    """(bound, k, perm): an altermatic lower bound on chi, the level k that
+    gives it and the ordering ``perm`` that proves it, so that ``bound ==
+    alt_sigma(h, LinearOrder(perm), k).bound``.
 
-    Both levels are valid when ``h`` has an edge, since then chi >= 1 and
-    k <= 2 <= chi + 1; without edges the bound is 0 at k = 1.  alt at k = 2
-    is at least alt at k = 1, so the k = 2 bound is larger only when the two
-    are equal, and the k = 2 search stops at its first word beyond alt1.
-    On KG(m,r) the k = 1 bound equals chi; on SG(m,r) only the k = 2 one
-    does (Schrijver 1978).
+    It starts from the larger bound of the identity ordering at k = 1 and
+    k = 2.  Both levels are valid when ``h`` has an edge, since then chi >=
+    1 and k <= 2 <= chi + 1; without edges the bound is 0 at k = 1.  alt at
+    k = 2 is at least alt at k = 1, so the k = 2 bound is larger only when
+    the two are equal, and the k = 2 search stops at its first word beyond
+    alt1.  On KG(m,r) the k = 1 bound equals chi; on SG(m,r) only the k = 2
+    one does (Schrijver 1978).
+
+    Then, when that bound is at least ``clique`` (the size of a clique of
+    the Kneser graph, so that the altermatic bound is the binding lower
+    bound), it tries the ``SEED_ORDERINGS`` seeded shuffles of
+    ``_sampled_orderings`` at k = 1, keeping each ordering that raises the
+    bound.  Each search stops at its first word that reaches the bound
+    already held.  The scan ends once the bound reaches ``ceiling``, an
+    upper bound on chi such as ``coloring.greedy_color_count``, which no
+    ordering can pass.
     """
-    perm = tuple(range(1, h.n + 1))
-    alt1 = _AltSearch(h, 1).run(perm)[0]
+    n = h.n
+    perm = tuple(range(1, n + 1))
+    search = _AltSearch(h, 1)
+    alt1 = search.run(perm)[0]
     if h.edges and _AltSearch(h, 2).run(perm, threshold=alt1 + 1) is not None:
-        return h.n - alt1 + 1, 2
-    return h.n - alt1, 1
+        best, level = n - alt1 + 1, 2
+    else:
+        best, level = n - alt1, 1
+    proof = perm
+    if best >= clique:
+        for shuffled in islice(_sampled_orderings(n, SEED_ORDERINGS, 0), 1, None):
+            if best >= ceiling:
+                break
+            outcome = search.run(shuffled, threshold=n - best)
+            if outcome is not None:
+                best, level, proof = n - outcome[0], 1, shuffled
+    return best, level, proof
 
 
 def _twin_pairs(h: Hypergraph) -> tuple[tuple[int, int], ...]:

@@ -24,8 +24,8 @@ from pathlib import Path
 from . import __version__
 from .audit import DEFAULT_STEP_CAP, AuditAnomaly, ProperWithinBound, audit, verify_witness
 from .bounds import FACTORIAL_CAP, AltReport, alt_min, alt_sigma, seed_bound, verify_theorem
-from .coloring import chromatic_at_most, chromatic_number, greedy_clique
-from .core import Hypergraph, LinearOrder, SearchLimitError, SimpleGraph, vertices_of
+from .coloring import chromatic_at_most, chromatic_number, greedy_clique, greedy_color_count
+from .core import Hypergraph, LinearOrder, SearchLimitError, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
 
@@ -153,11 +153,11 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _chi_proof(g: SimpleGraph, chi: int, seed: int, level: int) -> str:
-    """What proves that ``g`` needs ``chi`` colors: its greedy clique, the
-    altermatic bound ``seed`` at ``level``, or else the exact search, which
-    refuted chi - 1 colors."""
-    if chi == len(greedy_clique(g)):
+def _chi_proof(chi: int, clique: int, seed: int, level: int) -> str:
+    """What proves that the graph needs ``chi`` colors: its greedy clique
+    of size ``clique``, the altermatic bound ``seed`` at ``level``, or else
+    the exact search, which refuted chi - 1 colors."""
+    if chi == clique:
         return "clique"
     if chi == seed:
         return f"altermatic-k{level}"
@@ -167,10 +167,11 @@ def _chi_proof(g: SimpleGraph, chi: int, seed: int, level: int) -> str:
 def _cmd_chromatic(args) -> int:
     with _request(args) as (h, _, report):
         g = kneser_graph(h)
-        seed, level = seed_bound(h)
+        clique = len(greedy_clique(g))
+        seed, level, _ = seed_bound(h, clique=clique, ceiling=greedy_color_count(g))
         result = chromatic_number(g, lower=seed)
         report["chi"] = result.number
-        report["chi_proof"] = _chi_proof(g, result.number, seed, level)
+        report["chi_proof"] = _chi_proof(result.number, clique, seed, level)
         report["coloring"] = result.coloring.assignment
         # A file is written before the report, so a failed write emits none.
         if args.coloring_out and args.coloring_out != "-":

@@ -10,6 +10,7 @@ of masks holding it, and backtracking restores one mask.  The search
 runs on an explicit stack, so its depth is not limited by Python's
 recursion limit.  The chromatic number is the least budget, counted up
 from the clique size or a proven lower bound, that the decision accepts.
+One DSATUR pass without backtracking gives an upper bound.
 
 Each solve call owns its search state, so distinct calls may run
 concurrently; a single call is single-threaded.
@@ -101,6 +102,22 @@ def _most_saturated(cands: int, near: list[int]) -> int:
         if cands & p:
             cands &= p
     return (cands & -cands).bit_length() - 1
+
+
+def greedy_color_count(g: SimpleGraph) -> int:
+    """Colors used by one DSATUR pass without backtracking: an upper bound
+    on the chromatic number.  Each vertex, most saturated first, takes the
+    lowest color none of its neighbors has."""
+    near: list[int] = []
+    uncolored = (1 << g.vcount) - 1
+    while uncolored:
+        v = _most_saturated(uncolored, near)
+        c = next((c for c, m in enumerate(near) if not m >> v & 1), len(near))
+        if c == len(near):
+            near.append(0)
+        near[c] |= g.rows[v]
+        uncolored ^= 1 << v
+    return len(near)
 
 
 def _decide(g: SimpleGraph, t: int) -> list[int] | None:

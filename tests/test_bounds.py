@@ -22,6 +22,7 @@ from altermatic import (
     verify_theorem,
 )
 from altermatic import bounds, reference
+from altermatic.coloring import greedy_clique, greedy_color_count
 from helpers import all_sign_vectors, first_optimal_word, sub_vectors, subset_of
 
 
@@ -333,30 +334,54 @@ def test_verify_theorem_rejects_large_k():
     assert verify_theorem(complete_uniform(5, 2), 4).tight
 
 
-def test_seed_bound_is_the_larger_identity_bound_and_at_most_chi():
-    for seed in range(60):
-        n = 4 + seed % 4
-        h = random_hypergraph(n, 1 + seed % 14, (1, 3), 500 + seed)
-        bound, k = bounds.seed_bound(h)
-        order = LinearOrder.identity(n)
-        b1, b2 = alt_sigma(h, order, 1).bound, alt_sigma(h, order, 2).bound
-        assert (bound, k) == ((b2, 2) if b2 > b1 else (b1, 1))
-        assert bound <= chromatic_number(kneser_graph(h)).number
-    assert bounds.seed_bound(Hypergraph(4, ())) == (0, 1)
+def seed_of(h):
+    """``seed_bound`` as ``chromatic`` calls it."""
+    g = kneser_graph(h)
+    return bounds.seed_bound(h, clique=len(greedy_clique(g)), ceiling=greedy_color_count(g))
+
+
+def test_seed_bound_is_proven_by_its_ordering_and_at_most_chi():
+    # random inputs on both sides of the clique gate and the ceiling, and
+    # 2-subset inputs on which some shuffled ordering beats the identity
+    cases = [random_hypergraph(4 + s % 4, 1 + s % 14, (1, 3), 500 + s) for s in range(60)]
+    cases += [random_hypergraph(7 + s % 3, 14 + s % 3 * 6, (2, 2), 700 + s) for s in range(30)]
+    raised = 0
+    for h in cases:
+        g = kneser_graph(h)
+        clique, ceiling = len(greedy_clique(g)), greedy_color_count(g)
+        bound, k, perm = bounds.seed_bound(h, clique=clique, ceiling=ceiling)
+        assert bound == alt_sigma(h, LinearOrder(perm), k).bound
+        identity = LinearOrder.identity(h.n)
+        b1, b2 = alt_sigma(h, identity, 1).bound, alt_sigma(h, identity, 2).bound
+        first = (b2, 2, identity.perm) if b2 > b1 else (b1, 1, identity.perm)
+        assert first[0] <= bound <= chromatic_number(g).number <= ceiling
+        if first[0] < clique or first[0] >= ceiling or bound == first[0]:
+            # the scan did not run, or no shuffle raised the bound
+            assert (bound, k, perm) == first
+        else:
+            assert k == 1 and perm != identity.perm
+            raised += 1
+        # the gate and the ceiling alone keep the identity bound
+        assert bounds.seed_bound(h, clique=first[0] + 1, ceiling=ceiling + 1) == first
+        assert bounds.seed_bound(h, clique=0, ceiling=first[0]) == first
+    assert raised >= 20
+    assert seed_of(Hypergraph(4, ())) == (0, 1, (1, 2, 3, 4))
 
 
 def test_seed_bound_is_tight_on_kneser_and_schrijver_families():
-    # k = 1 is tight on KG(m,r); on SG(m,r), r >= 2, only k = 2 is
+    # k = 1 is tight on KG(m,r); on SG(m,r), r >= 2, only k = 2 is, and no
+    # shuffle can pass chi, so the identity stays the proof
     for m in range(2, 10):
         for r in range(1, m // 2 + 1):
-            chi = m - 2 * r + 2
-            assert bounds.seed_bound(complete_uniform(m, r)) == (chi, 1)
-            assert bounds.seed_bound(schrijver_hypergraph(m, r)) == (chi, 1 if r == 1 else 2)
+            chi, identity = m - 2 * r + 2, tuple(range(1, m + 1))
+            assert seed_of(complete_uniform(m, r)) == (chi, 1, identity)
+            assert seed_of(schrijver_hypergraph(m, r)) == (chi, 1 if r == 1 else 2, identity)
 
 
 def test_chromatic_number_from_the_seed_matches_the_full_ladder():
     cases = [random_hypergraph(4 + s % 5, 1 + s % 14, (1, 3), 600 + s) for s in range(40)]
+    cases += [random_hypergraph(7 + s % 3, 14 + s % 3 * 6, (2, 2), 800 + s) for s in range(30)]
     cases += [f(m, r) for m in range(2, 10) for r in range(1, m // 2 + 1) for f in (complete_uniform, schrijver_hypergraph)]
     for h in cases:
         g = kneser_graph(h)
-        assert chromatic_number(g, lower=bounds.seed_bound(h)[0]) == chromatic_number(g)
+        assert chromatic_number(g, lower=seed_of(h)[0]) == chromatic_number(g)

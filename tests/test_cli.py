@@ -91,20 +91,22 @@ def test_chromatic_on_more_kneser_vertices_than_the_recursion_limit(capsys, tmp_
 
 
 @pytest.mark.parametrize(
-    "family, m, r, chi, proof",
+    "h, chi, proof",
     [
-        (complete_uniform, 10, 2, 8, "altermatic-k1"),
-        (complete_uniform, 9, 3, 5, "altermatic-k1"),
-        (schrijver_hypergraph, 10, 2, 8, "altermatic-k2"),
-        (schrijver_hypergraph, 11, 2, 9, "altermatic-k2"),
-    ],
-    ids=["KG(10,2)", "KG(9,3)", "SG(10,2)", "SG(11,2)"],
+        (complete_uniform(10, 2), 8, "altermatic-k1"),
+        (complete_uniform(9, 3), 5, "altermatic-k1"),
+        (schrijver_hypergraph(10, 2), 8, "altermatic-k2"),
+        (schrijver_hypergraph(11, 2), 9, "altermatic-k2"),
+    ]
+    + [(random_hypergraph(10, 43, (2, 2), s), 8, "altermatic-k1") for s in (0, 1, 3, 4, 5)],
+    ids=["KG(10,2)", "KG(9,3)", "SG(10,2)", "SG(11,2)"] + [f"R(10,43)s{s}" for s in (0, 1, 3, 4, 5)],
 )
-def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch, family, m, r, chi, proof):
+def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch, h, chi, proof):
     # The altermatic seed equals chi here, so the ladder starts at chi and
     # makes one decision on the command's Kneser graph, never refuting
-    # chi - 1.  The k = 2 seed search decides survivor graphs of its own,
-    # which are not counted.
+    # chi - 1.  On the random 2-subset inputs the identity bound is below
+    # chi and a shuffled ordering proves it.  The k = 2 seed search decides
+    # survivor graphs of its own, which are not counted.
     graphs, budgets = [], []
     real_kneser, real_decide = cli.kneser_graph, coloring._decide
 
@@ -120,7 +122,7 @@ def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "kneser_graph", recording_kneser)
     monkeypatch.setattr(coloring, "_decide", counting_decide)
     path = tmp_path / "h.hg"
-    path.write_text(serialize_hypergraph(family(m, r)))
+    path.write_text(serialize_hypergraph(h))
     code, out, err = run(capsys, "chromatic", "-H", str(path))
     assert code == 0, err
     rep = report_dict(out)
@@ -130,11 +132,17 @@ def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize(
     "h, chi, proof",
-    [(complete_uniform(4, 2), 2, "clique"), (random_hypergraph(6, 12, (2, 2), 9), 4, "search")],
-    ids=["KG(4,2)", "R(6,12)"],
+    [
+        (complete_uniform(4, 2), 2, "clique"),
+        (random_hypergraph(6, 12, (2, 2), 9), 4, "altermatic-k1"),
+        (random_hypergraph(6, 10, (2, 2), 12), 4, "search"),
+    ],
+    ids=["KG(4,2)", "R(6,12)", "R(6,10)"],
 )
 def test_chi_proof_names_clique_or_search(capsys, tmp_path, h, chi, proof):
-    # the clique, or else (seed and clique both below chi) the exact search
+    # the clique, or a shuffled ordering's altermatic bound (R(6,12): the
+    # identity gives 3), or else the exact search: R(6,10) needs it, since
+    # its least alt over all orderings gives 3 at both k = 1 and k = 2
     path = tmp_path / "h.hg"
     path.write_text(serialize_hypergraph(h))
     code, out, _ = run(capsys, "chromatic", "-H", str(path), "--json")

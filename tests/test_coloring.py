@@ -17,7 +17,7 @@ from altermatic import (
     schrijver_hypergraph,
 )
 from altermatic import reference
-from altermatic.coloring import _decide, _most_saturated, first_clash
+from altermatic.coloring import _decide, _most_saturated, first_clash, greedy_color_count
 from helpers import random_graph
 
 
@@ -122,6 +122,14 @@ def test_decide_is_exact_at_every_budget(g):
             assert found is None, t
         else:
             assert found is not None and is_proper(g, Coloring(tuple(found), t)), t
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(small_graphs())
+def test_greedy_color_count_is_an_upper_bound(g):
+    # chi <= one DSATUR pass <= max degree + 1, as any greedy coloring is
+    max_degree = max((row.bit_count() for row in g.rows), default=-1)
+    assert reference.chromatic_by_enumeration(g) <= greedy_color_count(g) <= max_degree + 1
 
 
 def test_lower_bound_skips_rungs_and_keeps_the_witness():
