@@ -8,11 +8,17 @@ for stdin on inputs and stdout on outputs.
 Exit codes: 0 success, 1 verification failure (or internal audit anomaly),
 2 usage, parse or unreadable-input error, 3 resource cap hit, 141 (128 +
 SIGPIPE) when the reader of standard output has gone.
+
+The argument parser is built once per process, on the first ``main``
+call, and every later call parses with the same one: ``parse_args``
+makes a fresh namespace each time and nothing changes the parser after
+it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -245,6 +251,7 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altermatic",
@@ -313,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

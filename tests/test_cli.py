@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -721,3 +724,127 @@ def test_golden_reports(capsys, tmp_path, argv, report, tail):
         code, out, err = run(capsys, *argv, *(["--json"] if json_mode else []))
         assert (code, err) == (0, "")
         assert drop_elapsed(out) == render(report, json_mode) + tail
+
+
+def test_shared_parser_keeps_no_state_between_requests(capsys, tmp_path):
+    # One process parses every request with one parser: no option, default
+    # or error of one request may reach the report of the next.
+    verify = {
+        "command": "verify",
+        "tool": "altermatic 0.1.0",
+        "input_h_sha256": KG52_SHA,
+        "n": 5,
+        "edges": 10,
+        "k": 1,
+        "sigma_mode": "exhaustive",
+        "alt": 2,
+        "bound": 3,
+        "chi": 3,
+        "holds": True,
+        "tight": True,
+    }
+    kg52 = tmp_path / "kg52.hg"
+    kg52.write_text(GOLDEN_INPUTS["kg52.hg"])
+    kg42 = write_kneser(tmp_path, 4, 2)
+    col = tmp_path / "proper.col"
+    col.write_text("1\n1\n1\n2\n2\n2\n")
+    altbound = {
+        "command": "altbound",
+        "tool": "altermatic 0.1.0",
+        "input_h_sha256": KG52_SHA,
+        "n": 5,
+        "edges": 10,
+        "k": 1,
+        "sigma_mode": "sampled",
+        "samples": 5,
+        "seed": 3,
+        "alt": 2,
+        "sigma": [1, 2, 3, 4, 5],
+        "witness": "000RB",
+        "bound": 3,
+    }
+    exhaustive = {key: value for key, value in altbound.items() if key not in ("samples", "seed")}
+    exhaustive["sigma_mode"] = "exhaustive"
+    audit_proper = {
+        "command": "audit",
+        "tool": "altermatic 0.1.0",
+        "input_h_sha256": "7bf187e7ba9c6e2dc61f974384e51b551216e44a9805ecbb2dc74f5f836ded42",
+        "input_c_sha256": "7b1ea648185254164f2e27eb7665fb3682c11273ecb952b0e91e946c8c3801c0",
+        "n": 4,
+        "edges": 6,
+        "k": 1,
+        "sigma": [1, 2, 3, 4],
+        "palette": 2,
+        "outcome": "proper-within-bound",
+        "steps": 8,
+    }
+    steps = [
+        (("altbound", "-H", str(kg52), "-k", "1", "--samples", "5", "--seed", "3"), 0, render(altbound, False)),
+        (("altbound", "-H", str(kg52), "-k", "1"), 0, render(exhaustive, False)),
+        (("audit", "-H", kg42, "-c", str(col), "-k", "1", "--step-cap", "1"), 3, ""),
+        (("audit", "-H", kg42, "-c", str(col), "-k", "1"), 0, render(audit_proper, False)),
+        (("verify", "-H", str(kg52), "-k", "1", "--json"), 0, render(verify, True)),
+        (("verify", "-H", str(kg52), "-k", "1"), 0, render(verify, False)),
+        (("verify", "-H", str(kg52)), 2, ""),
+        (("verify", "-H", str(kg52), "-k", "1"), 0, render(verify, False)),
+    ]
+    for argv, want_code, want_out in steps:
+        code, out, err = run(capsys, *argv)
+        assert (code, drop_elapsed(out)) == (want_code, want_out), argv
+        if want_code == 3:
+            assert err == "resource cap: audit walk exceeded step cap 1\n"
+        elif want_code == 2:
+            assert err.splitlines()[-1] == "altermatic verify: error: the following arguments are required: -k"
+        else:
+            assert err == ""
+
+
+def test_main_builds_no_parser_after_the_first_request(capsys, tmp_path, monkeypatch):
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    kg52, one, proper = (str(tmp_path / name) for name in ("kg52.hg", "kg52-one.col", "kg52-proper.col"))
+    requests = [
+        ("gen", "kneser", "-m", "5", "-r", "2"),
+        ("gen", "random", "-n", "6", "-e", "5", "--seed", "9"),
+        ("chromatic", "-H", kg52),
+        ("altsigma", "-H", kg52, "-k", "2", "--sigma", "2 4 1 5 3"),
+        ("altbound", "-H", kg52, "-k", "1"),
+        ("altbound", "-H", kg52, "-k", "1", "--samples", "5", "--seed", "3", "--json"),
+        ("verify", "-H", kg52, "-k", "1"),
+        ("verify", "-H", kg52, "-k", "2", "--exhaustive", "--json"),
+        ("audit", "-H", kg52, "-c", one, "-k", "1"),
+        ("audit", "-H", kg52, "-c", proper, "-k", "1", "--json"),
+    ]
+    assert run(capsys, *requests[0])[0] == 0
+    counts = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        counts.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in requests:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert len(counts) == 0
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Set-up time is what a fresh interpreter pays to import the command
+    # line, so the parser waits for the first request.
+    script = (
+        "import argparse\n"
+        "counts = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    counts.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import altermatic.cli\n"
+        "print(len(counts))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=False
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
