@@ -16,6 +16,7 @@ are immutable, so independent searches may run concurrently.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from itertools import islice, permutations
@@ -29,6 +30,8 @@ from .kneser import disjointness_graph, kneser_graph
 FACTORIAL_CAP = 8
 # Seeded shuffles ``seed_bound`` tries after the identity ordering.
 SEED_ORDERINGS = 128
+# Feasible words an ``_AltSearch`` keeps to refute threshold runs unwalked.
+REMEMBERED_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,23 @@ class _AltSearch:
     Chromatic feasibility is memoized on the surviving edge-index set, as
     a bit mask over edge indices; that set is what the restriction boils
     down to, and the same sets recur across branches and across orderings.
+
+    The search also remembers the last ``REMEMBERED_WORDS`` feasible words
+    its walks ended on, by vertex rather than by slot, most recently useful
+    first.  Which edges survive a word depends only on which vertices are
+    R and which are B, never on the ordering, so a remembered word is
+    feasible under every ordering.  When one of them reaches alt >=
+    threshold under the ordering of a threshold run, the maximum does too,
+    and the run returns None without a walk, exactly as the walk would.
+    Every returned result still comes from a full walk.
+
+    A search built with ``remember=False`` keeps no words.  Sampled
+    ``alt_min`` builds it so: under a random ordering a word seldom reaches
+    the threshold, and the runs it does refute are those whose walk stops
+    early anyway, so checking and storing cost more than they save.
     """
 
-    def __init__(self, h: Hypergraph, k: int):
+    def __init__(self, h: Hypergraph, k: int, *, remember: bool = True):
         if k < 1:
             raise ValueError(f"level k must be positive, got {k}")
         self.h = h
@@ -109,13 +126,13 @@ class _AltSearch:
                 m ^= low
                 self.by_vertex[low.bit_length()].append((1 << idx, e))
         self._chrom: dict[int, bool] = {}
-
-    def full_feasible(self) -> bool:
-        """True when even the all-surviving edge set fits the budget,
-        in which case every sign word is feasible and alt = n outright."""
-        if self.k == 1:
-            return not self.h.edges
-        return self._chrom_ok((1 << len(self.h.edges)) - 1)
+        # True when even the all-surviving edge set fits the budget, in
+        # which case every sign word is feasible and alt = n outright.
+        self.all_feasible = not h.edges if k == 1 else self._chrom_ok((1 << len(h.edges)) - 1)
+        # Remembered words as ``bytes.translate`` arguments: a table taking
+        # each vertex id to b"R" or b"B", and the ids of its 0 vertices
+        # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
+        self._words: list[tuple[bytes, bytes]] | None = [] if remember else None
 
     def _chrom_ok(self, survivors: int) -> bool:
         cached = self._chrom.get(survivors)
@@ -133,8 +150,63 @@ class _AltSearch:
             sum(1 << p for p in range(1, n, 2)),
         )
 
+    def _refuted(self, perm: tuple[int, ...], threshold: int) -> bool:
+        """Whether a remembered word reaches alt >= threshold under ``perm``;
+        the word that does moves to the front."""
+        key = bytes(perm)
+        words = self._words
+        for word in words:
+            signs = key.translate(*word)
+            # alt is the number of runs of equal signs; no word is empty
+            if signs.count(b"RB") + signs.count(b"BR") + 1 >= threshold:
+                if word is not words[0]:
+                    words.remove(word)
+                    words.insert(0, word)
+                return True
+        return False
+
+    def _remember(self, perm: tuple[int, ...], reds: int, blues: int) -> None:
+        """Keep the word with R slots ``reds`` and B slots ``blues`` under
+        ``perm``, by vertex, in front of the others."""
+        if not reds | blues:
+            return  # the empty word reaches no positive threshold
+        table = bytearray(256)
+        zeros = bytearray()
+        for j, v in enumerate(perm):
+            if reds >> j & 1:
+                table[v] = 82  # R
+            elif blues >> j & 1:
+                table[v] = 66  # B
+            else:
+                zeros.append(v)
+        self._words.insert(0, (bytes(table), bytes(zeros)))
+        del self._words[REMEMBERED_WORDS:]
+
     def run(self, perm: tuple[int, ...], threshold: int | None = None) -> tuple[int, SignVector] | None:
-        """Maximum alt over feasible words under the ordering ``perm`` with one witness.
+        """Maximum alt over feasible words under the ordering ``perm`` with
+        one witness, or None when ``threshold`` is set and the maximum
+        reaches it.
+
+        A remembered word may answer None before any walk (see the class
+        docstring); otherwise ``_walk`` decides, and the word it ended on is
+        remembered.
+        """
+        n = self.h.n
+        if self.all_feasible:
+            return None if threshold is not None and n >= threshold else (n, self.alternating_word())
+        remembering = self._words is not None
+        if remembering and threshold is not None and self._refuted(perm, threshold):
+            return None
+        limit = n + 1 if threshold is None else threshold
+        alt, reds, blues = self._walk(perm, limit)
+        if remembering:
+            self._remember(perm, reds, blues)
+        return None if alt >= limit else (alt, SignVector(n, reds, blues))
+
+    def _walk(self, perm: tuple[int, ...], limit: int) -> tuple[int, int, int]:
+        """(alt, R slots, B slots) of the word the walk under ``perm`` ends
+        on: the first feasible word found with alt >= ``limit``, or else
+        the witness of the maximum.
 
         Only strictly alternating words are searched.  That loses nothing:
         the entries of a longest alternating subsequence of any optimal word
@@ -148,22 +220,17 @@ class _AltSearch:
         alt plus unassigned slots) cannot beat the best found.
 
         The walk makes two passes.  The first tries the sign before 0 at
-        every slot, so it meets high-alt words early: with ``threshold``
-        set it returns None as soon as some feasible word reaches alt >=
-        threshold (the minimization uses this to discard orderings that
-        cannot improve on the current minimum), and otherwise it ends with
-        the exact maximum A.  The second pass tries 0 first, which visits
-        words in lexicographic order with 0 before a sign, and stops at the
-        first word of alt A; its ceiling cuts at A - 1 only drop subtrees
-        without such a word.  So the witness is the lexicographically least
-        optimal word, and a returned result does not depend on
-        ``threshold``.
+        every slot, so it meets high-alt words early: it stops as soon as
+        some feasible word reaches alt >= ``limit`` (the minimization uses
+        this to discard orderings that cannot improve on the current
+        minimum), and otherwise it ends with the exact maximum A.  The
+        second pass tries 0 first, which visits words in lexicographic
+        order with 0 before a sign, and stops at the first word of alt A;
+        its ceiling cuts at A - 1 only drop subtrees without such a word.
+        So the witness is the lexicographically least optimal word, and it
+        does not depend on ``limit``.
         """
         n = self.h.n
-        limit = n + 1 if threshold is None else threshold
-        if self.full_feasible():
-            return None if n >= limit else (n, self.alternating_word())
-
         best = -1
         best_sides = (0, 0)
         zero_first = False
@@ -201,11 +268,10 @@ class _AltSearch:
                 walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
 
         walk(0, 0, 0, 0, 0, 0, 0)
-        if best >= limit:
-            return None
-        best, limit, zero_first = best - 1, best, True
-        walk(0, 0, 0, 0, 0, 0, 0)
-        return best, SignVector(n, *best_sides)
+        if best < limit:
+            best, limit, zero_first = best - 1, best, True
+            walk(0, 0, 0, 0, 0, 0, 0)
+        return (best, *best_sides)
 
 
 def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:
@@ -234,11 +300,12 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
     Then, when that bound is at least ``clique`` (the size of a clique of
     the Kneser graph, so that the altermatic bound is the binding lower
     bound), it tries the ``SEED_ORDERINGS`` seeded shuffles of
-    ``_sampled_orderings`` at k = 1, keeping each ordering that raises the
+    ``_seed_orderings`` at k = 1, keeping each ordering that raises the
     bound.  Each search stops at its first word that reaches the bound
-    already held.  The scan ends once the bound reaches ``ceiling``, an
-    upper bound on chi such as ``coloring.greedy_color_count``, which no
-    ordering can pass.
+    already held, and a word remembered from an earlier shuffle settles
+    most of them before any walk.  The scan ends once the bound reaches
+    ``ceiling``, an upper bound on chi such as
+    ``coloring.greedy_color_count``, which no ordering can pass.
     """
     n = h.n
     perm = tuple(range(1, n + 1))
@@ -250,7 +317,7 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
         best, level = n - alt1, 1
     proof = perm
     if best >= clique:
-        for shuffled in islice(_sampled_orderings(n, SEED_ORDERINGS, 0), 1, None):
+        for shuffled in _seed_orderings(n):
             if best >= ceiling:
                 break
             outcome = search.run(shuffled, threshold=n - best)
@@ -318,6 +385,13 @@ def _sampled_orderings(n: int, samples: int, seed: int):
         yield tuple(p)
 
 
+@functools.cache
+def _seed_orderings(n: int) -> tuple[tuple[int, ...], ...]:
+    """The ``SEED_ORDERINGS`` shuffles of ``seed_bound``, drawn once per n:
+    ``_sampled_orderings(n, SEED_ORDERINGS, 0)`` without the identity."""
+    return tuple(islice(_sampled_orderings(n, SEED_ORDERINGS, 0), 1, None))
+
+
 def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
@@ -337,10 +411,10 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
     chromatic bound, so the report stays sound.
     """
     n = h.n
-    search = _AltSearch(h, k)
+    search = _AltSearch(h, k, remember=samples is None)
     mode = "exhaustive" if samples is None else "sampled"
 
-    if search.full_feasible():
+    if search.all_feasible:
         return AltReport(n, search.alternating_word(), LinearOrder.identity(n), k, mode)
 
     if samples is None:

@@ -115,6 +115,21 @@ def test_run_threshold_is_a_decision(instance):
         assert search.run(order.perm, t) == (None if full[0] >= t else full), t
 
 
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(st.data())
+def test_shared_search_answers_as_a_fresh_one(data):
+    # the words one search remembers from earlier runs change no outcome
+    # of a later run
+    n = data.draw(st.integers(1, 7))
+    edges = data.draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=10))
+    h, k = Hypergraph(n, tuple(edges)), data.draw(st.integers(1, 2))
+    thresholds = st.none() | st.integers(0, n + 1)
+    runs = data.draw(st.lists(st.tuples(st.permutations(range(1, n + 1)), thresholds), min_size=1, max_size=12))
+    shared = bounds._AltSearch(h, k)
+    for perm, t in runs:
+        assert shared.run(tuple(perm), t) == bounds._AltSearch(h, k).run(tuple(perm), t), (perm, t)
+
+
 def test_alt_sigma_nondecreasing_in_k():
     for seed in range(6):
         h = random_hypergraph(6, 10, (1, 3), 300 + seed)
@@ -272,6 +287,37 @@ def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
         calls.clear()
         alt_min(h, 1)
         assert len(calls) == expected
+
+
+def test_remembered_words_spare_most_walks(monkeypatch):
+    # machine-independent work count: a word that reached the minimum under
+    # one ordering reaches it under most of the next ones, so few of the
+    # 8!/2 or 7!/2 orderings scanned get walked (39, 28 and 4 at the time
+    # of writing), and the search holds at most REMEMBERED_WORDS words; a
+    # sampled scan keeps none
+    walks, stores, sizes = [], [], []
+    walk, remember = bounds._AltSearch._walk, bounds._AltSearch._remember
+
+    def counting_walk(self, perm, limit):
+        walks.append(perm)
+        return walk(self, perm, limit)
+
+    def counting_remember(self, perm, reds, blues):
+        stores.append(perm)
+        remember(self, perm, reds, blues)
+        sizes.append(len(self._words))
+
+    monkeypatch.setattr(bounds._AltSearch, "_walk", counting_walk)
+    monkeypatch.setattr(bounds._AltSearch, "_remember", counting_remember)
+    sg82, sg72 = schrijver_hypergraph(8, 2), schrijver_hypergraph(7, 2)
+    for h, k, ceiling in ((sg82, 1, 50), (sg72, 1, 36), (sg82, 2, 6)):
+        walks.clear()
+        alt_min(h, k)
+        assert len(walks) <= ceiling
+    assert max(sizes) == bounds.REMEMBERED_WORDS
+    stores.clear()
+    alt_min(random_hypergraph(20, 60, (2, 4), 5), 1, samples=300)
+    assert stores == []
 
 
 def test_sampled_mode_bounds_exhaustive():
