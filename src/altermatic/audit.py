@@ -18,6 +18,7 @@ the same immutable inputs are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Union
 
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt_masks, vertices_of
@@ -130,18 +131,6 @@ LevelOutcome = Union[SignedLevel, Violation]
 NeighborOutcome = Union[list[PermissibleSequence], Violation]
 
 
-def _peak(members: int, h: Hypergraph, c: Coloring) -> tuple[int, int | None]:
-    """(largest color on a hyperedge inside the vertex mask, lowest edge index
-    carrying it), or (0, None) when the mask encloses no hyperedge."""
-    best = 0
-    arg = None
-    for i, e in enumerate(h.edges):
-        if e & ~members == 0 and c.assignment[i] > best:
-            best = c.assignment[i]
-            arg = i
-    return best, arg
-
-
 class AuditContext:
     """Evaluation state for one (hypergraph, coloring, k, ordering) audit.
 
@@ -176,6 +165,11 @@ class AuditContext:
         self.alt_value = alt_value
         self.palette_bound = h.n - alt_value + k - 2
         self._vbit = tuple(1 << (v - 1) for v in order.perm)
+        # (edge mask, (color, index)) from the highest color down, lowest
+        # index first within a color (sorting is stable, also in reverse),
+        # so the first edge inside a side gives its peak
+        ranked = sorted(range(len(h.edges)), key=c.assignment.__getitem__, reverse=True)
+        self._by_peak = [(h.edges[i], (c.assignment[i], i)) for i in ranked]
         self._peaks: dict[int, tuple[int, int | None]] = {}
         self._level: dict[tuple[int, int], LevelOutcome] = {}
 
@@ -189,10 +183,16 @@ class AuditContext:
         return out
 
     def _peak_of(self, position_mask: int) -> tuple[int, int | None]:
-        """(max enclosed color, lowest attaining edge index) for one side."""
+        """(largest color on a hyperedge inside one side, lowest edge index
+        carrying it), or (0, None) when the side encloses no hyperedge."""
         got = self._peaks.get(position_mask)
         if got is None:
-            got = _peak(self.vertex_mask(position_mask), self.h, self.c)
+            members = self.vertex_mask(position_mask)
+            got = (0, None)
+            for e, peak in self._by_peak:
+                if e & ~members == 0:
+                    got = peak
+                    break
             self._peaks[position_mask] = got
         return got
 
@@ -259,11 +259,22 @@ class AuditContext:
         return self.h.n
 
 
+def _derived(n: int, steps: tuple[int, ...]) -> PermissibleSequence:
+    """A chain made from a valid one by a rewrite rule of ``neighbors``.
+
+    Swapping, dropping or negating steps, or appending a new position
+    within 1..n, keeps the steps valid, so the checks of
+    ``PermissibleSequence.__post_init__`` are not run again.
+    """
+    seq = object.__new__(PermissibleSequence)
+    seq.__dict__.update(n=n, steps=steps)
+    return seq
+
+
 def _swap_steps(seq: PermissibleSequence, i: int) -> PermissibleSequence:
     """Exchange the insertion order of chain steps i and i+1 (1-based)."""
-    s = list(seq.steps)
-    s[i - 1], s[i] = s[i], s[i - 1]
-    return PermissibleSequence(seq.n, tuple(s))
+    s = seq.steps
+    return _derived(seq.n, s[: i - 1] + (s[i], s[i - 1]) + s[i + 1:])
 
 
 def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
@@ -290,22 +301,33 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
     ``Violation`` - with a witness whenever the failure certifies the
     coloring improper.
     """
-    m = seq.length
+    n, steps = seq.n, seq.steps
+    m = len(steps)
+    level = ctx.level
     values = []
-    for reds, blues in seq.pairs():
-        lv = ctx.level(reds, blues)
+    reds = blues = 0
+    # level every prefix pair, the empty one first
+    for s in (0, *steps):
+        if s > 0:
+            reds |= 1 << (s - 1)
+        elif s:
+            blues |= 1 << (-s - 1)
+        lv = level(reds, blues)
         if isinstance(lv, Violation):
             return lv
         values.append(lv.value)
-    support = set(seq.steps)
-    if not support <= set(values):
-        return Violation(None, f"chain {seq.steps} is not permissible (levels {values})")
+    support = set(steps)
+    found = set(values)
+    if not support <= found:
+        return Violation(None, f"chain {steps} is not permissible (levels {values})")
 
-    # Antipodal levels on nested pairs certify a monochromatic disjoint pair.
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            if values[i] == -values[j]:
-                return _antipodal_violation(ctx, seq, values, i, j)
+    # Antipodal levels on nested pairs certify a monochromatic disjoint pair;
+    # the first such (i, j) in order gives the witness.
+    if not found.isdisjoint(map(neg, values)):
+        for i in range(m + 1):
+            for j in range(i + 1, m + 1):
+                if values[i] == -values[j]:
+                    return _antipodal_violation(ctx, seq, values, i, j)
 
     plateau = [i for i in range(m) if values[i] == values[i + 1]]
     missing = [i for i in range(m + 1) if values[i] not in support]
@@ -319,22 +341,24 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
         if i < m - 1:
             produced.append(_swap_steps(seq, i + 1))
         else:
-            produced.append(PermissibleSequence(seq.n, seq.steps[:-1]))
+            produced.append(_derived(n, steps[:-1]))
     elif len(missing) == 1 and not plateau:
         i = missing[0]
         val = values[i]
-        if abs(val) <= seq.n:
-            if abs(val) in {abs(s) for s in seq.steps}:
+        if abs(val) <= n:
+            # val itself is missing from the support, so only -val can hold
+            # its position
+            if -val in support:
                 return Violation(
                     None,
                     f"append target {val} collides with the chain support without an antipodal pair",
                 )
-            produced.append(PermissibleSequence(seq.n, seq.steps + (val,)))
+            produced.append(_derived(n, steps + (val,)))
         if m > 0:
             if i == 0:
-                produced.append(PermissibleSequence(seq.n, tuple(-s for s in seq.steps)))
+                produced.append(_derived(n, tuple(-s for s in steps)))
             elif i == m:
-                produced.append(PermissibleSequence(seq.n, seq.steps[:-1]))
+                produced.append(_derived(n, steps[:-1]))
             else:
                 produced.append(_swap_steps(seq, i))
     else:

@@ -117,8 +117,12 @@ class _AltSearch:
             raise ValueError(f"level k must be positive, got {k}")
         self.h = h
         self.k = k
-        # by_vertex[v] lists (index bit, edge mask) for the edges containing v.
+        # Two views of the edges for the walk's edge test (see ``_walk``):
+        # by_vertex[v] lists (index bit, edge mask) for the edges containing
+        # v, scanned when v has few of them; by_edge maps each edge mask to
+        # its index bit, looked up subset by subset when v has many.
         self.by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(h.n + 1)]
+        self.by_edge = {e: 1 << idx for idx, e in enumerate(h.edges)}
         for idx, e in enumerate(h.edges):
             m = e
             while m:
@@ -229,6 +233,17 @@ class _AltSearch:
         its ceiling cuts at A - 1 only drop subtrees without such a word.
         So the witness is the lexicographically least optimal word, and it
         does not depend on ``limit``.
+
+        Giving slot ``depth`` the side ``nxt`` joins makes newly
+        monochromatic exactly the edges that hold its vertex v and lie
+        inside ``nxt | v``.  The walk finds them by the cheaper of two
+        tests, chosen at each node: when v lies on no more edges than ``nxt``
+        has subsets, it scans ``by_vertex[v]``; otherwise it looks up
+        ``sub | v`` in ``by_edge`` for every subset ``sub`` of ``nxt``.
+        Both find the same edges, so the choice changes no outcome; the
+        lookups win on dense inputs such as KG(m,r), where v lies on
+        C(m-1,r-1) edges while ``nxt`` holds about half of the slots
+        already given.
         """
         n = self.h.n
         best = -1
@@ -236,6 +251,7 @@ class _AltSearch:
         zero_first = False
         k = self.k
         by_vertex = self.by_vertex
+        by_edge = self.by_edge
 
         # ``nxt``/``prev``: vertex masks of the side the next nonzero slot
         # joins and of the other side; ``wnxt``/``wprev``: the same in slots.
@@ -254,16 +270,31 @@ class _AltSearch:
                 if best >= limit:
                     return
             v = perm[depth]
-            side = nxt | (1 << (v - 1))
+            vbit = 1 << (v - 1)
+            side = nxt | vbit
+            # ``fresh``: index bits of the edges this sign makes monochromatic;
+            # at k = 1 the first one rules the sign out, so the test stops there
             fresh = 0
-            for bit, e in by_vertex[v]:
-                if e & ~side == 0:
-                    if k == 1:
-                        break  # an edge became monochromatic: no sign here
-                    fresh |= bit
+            edges_at_v = by_vertex[v]
+            if 1 << nxt.bit_count() < len(edges_at_v):
+                sub = nxt
+                while True:
+                    bit = by_edge.get(sub | vbit)
+                    if bit is not None:
+                        fresh |= bit
+                        if k == 1:
+                            break
+                    if not sub:
+                        break
+                    sub = (sub - 1) & nxt
             else:
-                if not fresh or self._chrom_ok(surv | fresh):
-                    walk(depth + 1, prev, side, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
+                for bit, e in edges_at_v:
+                    if e & ~side == 0:
+                        fresh |= bit
+                        if k == 1:
+                            break
+            if not fresh or k > 1 and self._chrom_ok(surv | fresh):
+                walk(depth + 1, prev, side, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
             if not zero_first and best < limit:
                 walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
 

@@ -49,6 +49,14 @@ def enclosed_peak(mask, h, c):
     return max((col for e, col in zip(h.edges, c.assignment) if e & ~mask == 0), default=0)
 
 
+def enclosed_peak_edge(mask, h, c):
+    """(enclosed_peak, lowest index of an edge inside the mask with that
+    color), or (0, None) when the mask encloses no edge."""
+    peak = enclosed_peak(mask, h, c)
+    inside = (i for i, (e, col) in enumerate(zip(h.edges, c.assignment)) if e & ~mask == 0 and col == peak)
+    return peak, next(inside, None)
+
+
 def test_enclosed_peak_examples():
     h = Hypergraph.from_edge_sets(3, [[1, 2], [3]])
     c = Coloring((2, 1), 2)
@@ -335,6 +343,38 @@ def test_audit_random_instances_random_orderings():
             assert verify_witness(w, h, c), (trial, k)
             audits += 1
     assert audits > 30
+
+
+@pytest.mark.parametrize("m, r", [(8, 2), (9, 3)])
+def test_walk_chains_and_peaks_on_regime_colorings(m, r):
+    # neighbors builds its chains without re-running the validating
+    # constructor, and _peak_of stops at the first edge of a presorted list;
+    # both must agree with the plain definitions along whole walks
+    h = complete_uniform(m, r)
+    palette = m - (2 * r - 2) - 1  # n - alt - 1 at k = 1, alt = 2r - 2
+    ties = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        c = Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
+        ctx = ctx_for(h, c)
+        prev, cur = None, PermissibleSequence(h.n)
+        while True:
+            outcome = neighbors(cur, ctx)
+            if isinstance(outcome, Violation):
+                break
+            for q in outcome:
+                assert q == PermissibleSequence(h.n, q.steps)
+            onward = [q for q in outcome if q != prev]
+            assert onward, "a regime coloring walk ends in a violation"
+            prev, cur = cur, onward[0]
+        assert outcome.witness == audit(h, c, 1)
+        for reds, blues in ctx._level:
+            for side in (reds, blues):
+                mask = ctx.vertex_mask(side)
+                peak = enclosed_peak_edge(mask, h, c)
+                assert ctx._peak_of(side) == peak
+                ties += sum(e & ~mask == 0 and col == peak[0] for e, col in zip(h.edges, c.assignment)) > 1
+    assert ties > 0
 
 
 def test_audit_respects_sigma():

@@ -17,6 +17,7 @@ from altermatic import (
     complete_uniform,
     feasible,
     kneser_graph,
+    mask_of,
     random_hypergraph,
     schrijver_hypergraph,
     verify_theorem,
@@ -101,6 +102,41 @@ def test_alt_sigma_witness_is_first_optimal_word(instance):
     h, order, k = instance
     rep = alt_sigma(h, order, k)
     assert (rep.alt_value, rep.witness) == first_optimal_word(h, order, k)
+
+
+@st.composite
+def dense_or_sparse_instances(draw):
+    """(h, order, k): n <= 7, a shuffled ordering, k in 1..3, and edges of
+    one of two kinds.  Dense inputs keep most 2- and 3-subsets, so a vertex
+    lies on more edges than the walk's open side has subsets and ``_walk``
+    finds new monochromatic edges by subset lookups; sparse inputs hold at
+    most n edges, so it mostly scans the edges at the vertex."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        pool = [mask_of(c) for size in (2, 3) for c in combinations(range(1, n + 1), size)]
+        dropped = draw(st.sets(st.sampled_from(pool), max_size=len(pool) // 4))
+        edges = [e for e in pool if e not in dropped]
+    else:
+        edges = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Hypergraph(n, tuple(edges)), LinearOrder(tuple(perm)), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(dense_or_sparse_instances())
+def test_alt_sigma_matches_enumeration_on_dense_and_sparse_inputs(instance):
+    h, order, k = instance
+    rep = alt_sigma(h, order, k)
+    assert rep.alt_value == reference.alt_sigma_by_enumeration(h, order, k)
+    assert (rep.alt_value, rep.witness) == first_optimal_word(h, order, k)
+
+
+def test_alt_sigma_on_kg_16_5():
+    # each vertex lies on C(15,4) = 1,365 edges, so the walk's edge test is
+    # by subset lookups nearly everywhere
+    rep = alt_sigma(complete_uniform(16, 5), LinearOrder.identity(16), 1)
+    assert rep.alt_value == 8
+    assert rep.witness.word() == "00000000RBRBRBRB"
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
