@@ -3,10 +3,11 @@
 For an ordering sigma and level k, the search maximizes alt(X) over sign
 words X whose surviving sub-hypergraph (edges inside one color class of X)
 has a Kneser graph colorable with k-1 colors; for k = 1 the requirement is
-that no edge survives at all.  The quantity n - alt + k - 1 is then a lower
-bound on the chromatic number of the full Kneser graph, for every sigma
-and every k <= chi + 1; minimizing alt over orderings gives the strongest
-form.
+that no edge survives at all, and for k = 2 that the survivors pairwise
+intersect, since a graph is 1-colorable exactly when it has no edges.
+The quantity n - alt + k - 1 is then a lower bound on the chromatic number
+of the full Kneser graph, for every sigma and every k <= chi + 1;
+minimizing alt over orderings gives the strongest form.
 
 Determining the per-ordering maximum is NP-hard in general, so both the
 per-ordering search and the minimization are exact exponential procedures
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 from .core import Hypergraph, LinearOrder, SignVector, restrict
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
@@ -93,9 +94,15 @@ def feasible(h: Hypergraph, x: SignVector, order: LinearOrder, k: int) -> bool:
 class _AltSearch:
     """Shared machinery for the per-ordering searches of one (H, k) pair.
 
-    Chromatic feasibility is memoized on the surviving edge-index set, as
-    a bit mask over edge indices; that set is what the restriction boils
-    down to, and the same sets recur across branches and across orderings.
+    Feasibility is a question about the surviving edge-index set, as a bit
+    mask over edge indices; that set is what the restriction boils down to.
+    At k = 2 the set is feasible when no two survivors are disjoint, so the
+    search keeps one clash mask per edge, the index bits of the edges
+    disjoint from it, computed the first time that edge survives, and a set
+    is feasible when no survivor's clash mask meets it.  At k >= 3 the
+    answer comes from ``chromatic_at_most`` on the survivors' Kneser graph,
+    memoized on the set, since the same sets recur across branches and
+    across orderings.
 
     The search also remembers the last ``REMEMBERED_WORDS`` feasible words
     its walks ended on, by vertex rather than by slot, most recently useful
@@ -129,16 +136,41 @@ class _AltSearch:
                 low = m & -m
                 m ^= low
                 self.by_vertex[low.bit_length()].append((1 << idx, e))
+        # k >= 3: feasibility by survivor set, decided by a coloring
         self._chrom: dict[int, bool] = {}
+        # k = 2: per edge, the index bits of the edges disjoint from it,
+        # filled in the first time that edge survives
+        self._clash: list[int | None] = [None] * len(h.edges)
         # True when even the all-surviving edge set fits the budget, in
-        # which case every sign word is feasible and alt = n outright.
-        self.all_feasible = not h.edges if k == 1 else self._chrom_ok((1 << len(h.edges)) - 1)
+        # which case every sign word is feasible and alt = n outright; at
+        # k = 2 that is when H is an intersecting family.
+        if k == 1:
+            self.all_feasible = not h.edges
+        elif k == 2:
+            self.all_feasible = all(e & f for e, f in combinations(h.edges, 2))
+        else:
+            self.all_feasible = self._chrom_ok((1 << len(h.edges)) - 1)
         # Remembered words as ``bytes.translate`` arguments: a table taking
         # each vertex id to b"R" or b"B", and the ids of its 0 vertices
         # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
         self._words: list[tuple[bytes, bytes]] | None = [] if remember else None
 
     def _chrom_ok(self, survivors: int) -> bool:
+        if self.k == 2:
+            # 1-colorable means edgeless: no survivor's clash mask meets the set
+            clash = self._clash
+            m = survivors
+            while m:
+                low = m & -m
+                m ^= low
+                i = low.bit_length() - 1
+                mask = clash[i]
+                if mask is None:
+                    e = self.h.edges[i]
+                    mask = clash[i] = sum(bit for f, bit in self.by_edge.items() if not e & f)
+                if mask & survivors:
+                    return False
+            return True
         cached = self._chrom.get(survivors)
         if cached is None:
             edges = [e for i, e in enumerate(self.h.edges) if (survivors >> i) & 1]

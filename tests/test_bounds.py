@@ -23,6 +23,7 @@ from altermatic import (
     verify_theorem,
 )
 from altermatic import bounds, reference
+from altermatic import coloring as coloring_module, kneser as kneser_module
 from altermatic.coloring import greedy_clique, greedy_color_count
 from helpers import all_sign_vectors, first_optimal_word, sub_vectors, subset_of
 
@@ -137,6 +138,96 @@ def test_alt_sigma_on_kg_16_5():
     rep = alt_sigma(complete_uniform(16, 5), LinearOrder.identity(16), 1)
     assert rep.alt_value == 8
     assert rep.witness.word() == "00000000RBRBRBRB"
+
+
+@st.composite
+def level_two_inputs(draw):
+    """(h, order, words): n <= 7, a shuffled ordering and up to 20 sign
+    words as (R vertices, B vertices), where h is random, an intersecting
+    family (every edge holds vertex 1), a single edge, or edgeless."""
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    shape = draw(st.sampled_from(("random", "intersecting", "single", "edgeless")))
+    if shape == "random":
+        edges = draw(st.lists(st.integers(1, full), unique=True, max_size=12))
+    elif shape == "intersecting":
+        rest = st.integers(0, full >> 1)
+        edges = [m << 1 | 1 for m in draw(st.lists(rest, unique=True, min_size=1, max_size=12))]
+    elif shape == "single":
+        edges = [draw(st.integers(1, full))]
+    else:
+        edges = []
+    words = []
+    for signs in draw(st.lists(st.lists(st.sampled_from((0, 1, -1)), min_size=n, max_size=n), max_size=20)):
+        reds = sum(1 << v for v, s in enumerate(signs) if s == 1)
+        blues = sum(1 << v for v, s in enumerate(signs) if s == -1)
+        words.append((reds, blues))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Hypergraph(n, tuple(edges)), LinearOrder(tuple(perm)), words
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(level_two_inputs())
+def test_level_two_feasibility_matches_the_coloring_scan(instance):
+    # k = 2 asks no coloring question: one search's clash masks, filled in
+    # as edges survive, must agree with a fresh 1-coloring decision on
+    # every word and through a walk
+    h, order, words = instance
+    n, full = h.n, (1 << h.n) - 1
+    search = bounds._AltSearch(h, 2)
+    assert search.all_feasible == reference.feasible_by_scan(h, full, 0, 2)
+    if all(e & 1 for e in h.edges):
+        assert search.all_feasible
+    for reds, blues in words:
+        survivors = sum(1 << i for i, e in enumerate(h.edges) if e & ~reds == 0 or e & ~blues == 0)
+        assert search._chrom_ok(survivors) == reference.feasible_by_scan(h, reds, blues, 2), (reds, blues)
+    # the walk grows survivor sets edge by edge on the same masks
+    alt_value = search.run(order.perm)[0]
+    assert alt_value == alt_sigma(h, order, 2).alt_value == reference.alt_sigma_by_enumeration(h, order, 2)
+    if search.all_feasible:
+        assert alt_value == n
+
+
+def test_level_two_search_asks_no_coloring_question(monkeypatch):
+    # machine-independent work count: the k = 2 search answers from clash
+    # masks alone.  SG(11,2) is where the k = 2 seed is tight; on the
+    # R(10,43) input the k = 2 search runs and a k = 1 shuffle wins
+    cases = {schrijver_hypergraph(11, 2): (9, 2), random_hypergraph(10, 43, (2, 2), 3): (8, 1)}
+    graphs = {h: kneser_graph(h) for h in cases}
+    calls, levels = [], []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    chrom_ok = bounds._AltSearch._chrom_ok
+
+    def counting_chrom_ok(self, survivors):
+        levels.append(self.k)
+        return chrom_ok(self, survivors)
+
+    for module, name in (
+        (bounds, "disjointness_graph"),
+        (bounds, "chromatic_at_most"),
+        (kneser_module, "disjointness_graph"),
+        (coloring_module, "chromatic_at_most"),
+    ):
+        counting(module, name)
+    monkeypatch.setattr(bounds._AltSearch, "_chrom_ok", counting_chrom_ok)
+    for h, expected in cases.items():
+        g = graphs[h]
+        levels.clear()
+        clique, ceiling = len(greedy_clique(g)), greedy_color_count(g)
+        assert bounds.seed_bound(h, clique=clique, ceiling=ceiling)[:2] == expected
+        assert levels and set(levels) == {2}
+    rep = alt_sigma(complete_uniform(16, 5), LinearOrder.identity(16), 2)
+    assert (rep.alt_value, rep.witness.word()) == (9, "0000000RBRBRBRBR")
+    assert calls == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
