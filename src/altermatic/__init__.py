@@ -28,7 +28,6 @@ from .audit import (
     AuditContext,
     PermissibleSequence,
     ProperWithinBound,
-    SignedLevel,
     Violation,
     Witness,
     audit,
@@ -57,7 +56,6 @@ __all__ = [
     "ProperWithinBound",
     "SearchLimitError",
     "SignVector",
-    "SignedLevel",
     "SimpleGraph",
     "TheoremCheck",
     "Violation",

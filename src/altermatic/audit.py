@@ -6,8 +6,9 @@ the argument behind that fact as a path-following search: sign words get a
 signed level, nested chains of signed vertex insertions ("permissible
 sequences") form a graph under two local rewrite rules, and the structure
 of that graph forces any walk from the empty chain to run into a
-contradiction.  The contradiction is always concrete - two disjoint
-hyperedges carrying the same color - and is returned as a ``Witness``.
+contradiction.  The contradiction is a level tie, which is always
+concrete - two disjoint hyperedges carrying the same color - and is
+returned as a ``Witness``.
 
 Levels and chains live in ordering slots ("positions"); whenever a level
 needs to look at actual hyperedges, the position sets are pushed through
@@ -18,7 +19,6 @@ the same immutable inputs are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import neg
 from typing import Union
 
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt_masks, vertices_of
@@ -55,24 +55,6 @@ class ProperWithinBound:
     """Walk ended with no clash and a full properness scan confirmed the coloring."""
 
     steps: int
-
-
-@dataclass(frozen=True)
-class SignedLevel:
-    """Signed level of a sign word.
-
-    Low band: plus or minus (alt + 1) while alt stays within the feasibility
-    ceiling, positive when the blues are empty or the earliest signed
-    position is red.  High band: ceiling + (maximum color enclosed by either
-    side) - k + 2, signed by the side attaining it; the attaining edges are
-    kept for witness extraction.  Values beyond n can only appear when the
-    palette exceeds the audited regime.  A pair whose sides tie gets a
-    ``Violation`` instead, so a chain is checked as it is levelled.
-    """
-
-    value: int
-    red_peak: int | None = None
-    blue_peak: int | None = None
 
 
 @dataclass(frozen=True)
@@ -127,7 +109,7 @@ class PermissibleSequence:
         return out
 
 
-LevelOutcome = Union[SignedLevel, Violation]
+LevelOutcome = Union[int, Violation]
 NeighborOutcome = Union[list[PermissibleSequence], Violation]
 
 
@@ -198,7 +180,23 @@ class AuditContext:
 
     def level(self, reds: int, blues: int) -> LevelOutcome:
         """Signed level of the position-space pair (reds, blues), or the
-        ``Violation`` of a level tie."""
+        ``Violation`` of a level tie.
+
+        Low band: plus or minus (alt + 1) while alt stays within the
+        feasibility ceiling, positive when the blues are empty or the
+        earliest signed position is red.  High band: ceiling + (maximum
+        color enclosed by either side) - k + 2, signed by the side
+        attaining it.  Values beyond n can only appear when the palette
+        exceeds the audited regime.  A pair whose sides tie gets a
+        ``Violation`` instead, so a chain is checked as it is levelled.
+
+        Nested pairs never carry opposite levels v and -v: adding positions
+        never lowers alt, and flips the low-band sign only by inserting a
+        blue before the earliest signed position, which raises alt; in the
+        high band the outer sides contain the inner ones, so the inner
+        winning side's peak cannot drop; and the bands' magnitudes never
+        overlap.
+        """
         key = (reds, blues)
         got = self._level.get(key)
         if got is None:
@@ -211,7 +209,7 @@ class AuditContext:
         if a <= self.alt_value:
             support = reds | blues
             positive = blues == 0 or (support & -support) & reds
-            return SignedLevel(a + 1 if positive else -(a + 1))
+            return a + 1 if positive else -(a + 1)
         hr, pr = self._peak_of(reds)
         hb, pb = self._peak_of(blues)
         if max(hr, hb) == 0:
@@ -231,9 +229,7 @@ class AuditContext:
             return Violation(witness, "level tie")
         magnitude = self.alt_value + max(hr, hb) - self.k + 2
         assert magnitude >= self.alt_value + 2
-        if hr > hb:
-            return SignedLevel(magnitude, red_peak=pr, blue_peak=pb)
-        return SignedLevel(-magnitude, red_peak=pr, blue_peak=pb)
+        return magnitude if hr > hb else -magnitude
 
     def _monochromatic_survivors(self, reds: int, blues: int) -> Witness:
         """Lowest-index disjoint same-colored pair among the pair's survivors."""
@@ -296,10 +292,9 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
     reachable when the palette exceeds the audited regime), which is what
     lets beyond-regime walks terminate.  ``seq`` itself is checked here, not
     the chains it produces, which are checked when they are levelled in
-    turn: any level tie along ``seq``, a step missing from its levels, any
-    antipodal level pair, and any failure of the dichotomy comes back as a
-    ``Violation`` - with a witness whenever the failure certifies the
-    coloring improper.
+    turn: any level tie along ``seq``, a step missing from its levels, and
+    any failure of the dichotomy comes back as a ``Violation`` - with a
+    witness whenever the failure certifies the coloring improper.
     """
     n, steps = seq.n, seq.steps
     m = len(steps)
@@ -315,19 +310,10 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
         lv = level(reds, blues)
         if isinstance(lv, Violation):
             return lv
-        values.append(lv.value)
+        values.append(lv)
     support = set(steps)
-    found = set(values)
-    if not support <= found:
+    if not support <= set(values):
         return Violation(None, f"chain {steps} is not permissible (levels {values})")
-
-    # Antipodal levels on nested pairs certify a monochromatic disjoint pair;
-    # the first such (i, j) in order gives the witness.
-    if not found.isdisjoint(map(neg, values)):
-        for i in range(m + 1):
-            for j in range(i + 1, m + 1):
-                if values[i] == -values[j]:
-                    return _antipodal_violation(ctx, seq, values, i, j)
 
     plateau = [i for i in range(m) if values[i] == values[i + 1]]
     missing = [i for i in range(m + 1) if values[i] not in support]
@@ -351,7 +337,7 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
             if -val in support:
                 return Violation(
                     None,
-                    f"append target {val} collides with the chain support without an antipodal pair",
+                    f"append target {val} collides with step {-val} of chain {steps}",
                 )
             produced.append(_derived(n, steps + (val,)))
         if m > 0:
@@ -367,43 +353,6 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
             f"rule dichotomy failed: plateaus at {plateau}, unmatched levels at {missing}, levels {values}",
         )
     return produced
-
-
-def _antipodal_violation(
-    ctx: AuditContext,
-    seq: PermissibleSequence,
-    values: list[int],
-    i: int,
-    j: int,
-) -> Violation:
-    """Witness for levels v and -v on nested pairs i < j of the chain.
-
-    Both levels must sit in the high band, each attained by an enclosed
-    edge of its signed side; the inner pair's attaining edge lies inside one
-    side of the outer pair and the outer pair's attaining edge inside the
-    other, so they are disjoint and share the attained color.
-    """
-    pairs = seq.pairs()
-    inner = ctx.level(*pairs[i])
-    outer = ctx.level(*pairs[j])
-    assert isinstance(inner, SignedLevel) and isinstance(outer, SignedLevel)
-    a = inner.red_peak if inner.value > 0 else inner.blue_peak
-    b = outer.blue_peak if inner.value > 0 else outer.red_peak
-    if a is None or b is None:
-        return Violation(
-            None,
-            f"antipodal levels {values[i]}, {values[j]} at chain indices {i}, {j} "
-            "without high-band attaining edges",
-        )
-    color = ctx.c.assignment[a]
-    if color != ctx.c.assignment[b]:
-        return Violation(
-            None,
-            f"antipodal levels at {i}, {j} but attaining colors differ: "
-            f"{color} vs {ctx.c.assignment[b]}",
-        )
-    witness = Witness(a, b, color, SignVector(ctx.n, *pairs[j]))
-    return Violation(witness, f"antipodal levels {values[i]} and {values[j]} on nested pairs")
 
 
 def verify_witness(w: Witness, h: Hypergraph, c: Coloring) -> bool:

@@ -60,8 +60,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
             ids = sorted({int(t) for t in body.split()})
         except ValueError:
             raise ParseError(f"edge line is not whitespace-separated integers: {body!r}", number)
-        if not ids:
-            raise ParseError("empty edge", number)
         for v in ids:
             if not 1 <= v <= n:
                 raise ParseError(f"vertex {v} outside 1..{n}", number)

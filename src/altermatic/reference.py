@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .audit import AuditContext, PermissibleSequence, SignedLevel, Violation, neighbors
+from .audit import AuditContext, PermissibleSequence, Violation, neighbors
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, SimpleGraph
 from .coloring import Coloring, chromatic_at_most
 from .kneser import kneser_graph
@@ -181,11 +181,11 @@ def enumerate_audit_graph(
                 if isinstance(lv, Violation):
                     violations.append((PermissibleSequence(n, nxt), lv))
                     continue
-                grow(nxt, values + [lv.value])
+                grow(nxt, values + [lv])
 
     root = ctx.level(0, 0)
-    assert isinstance(root, SignedLevel)
-    grow((), [root.value])
+    assert isinstance(root, int)
+    grow((), [root])
 
     neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = {}
     degree_histogram: dict[int, int] = {}

@@ -13,7 +13,6 @@ from altermatic import (
     Coloring,
     LinearOrder,
     SignVector,
-    SignedLevel,
     Witness,
     alt,
     alt_sigma,
@@ -126,14 +125,14 @@ def test_criterion_7_level_invariants_under_proper_colorings():
         c = chromatic_number(kneser_graph(h)).coloring
         ctx = AuditContext(h, c, 1)
         root = ctx.level(0, 0)
-        assert isinstance(root, SignedLevel) and root.value == 1
+        assert root == 1
         levels = {}
         for x in all_sign_vectors(n):
             lv = ctx.level(x.reds, x.blues)
-            assert isinstance(lv, SignedLevel), (trial, x)
-            levels[(x.reds, x.blues)] = lv.value
+            assert isinstance(lv, int), (trial, x)
+            levels[(x.reds, x.blues)] = lv
             if alt(x) > ctx.alt_value:
-                assert abs(lv.value) >= ctx.alt_value + 2, (trial, x)
+                assert abs(lv) >= ctx.alt_value + 2, (trial, x)
         for y in all_sign_vectors(n):
             ly = levels[(y.reds, y.blues)]
             for x in sub_vectors(y):

@@ -14,7 +14,6 @@ from altermatic import (
     ProperWithinBound,
     SearchLimitError,
     SignVector,
-    SignedLevel,
     Violation,
     Witness,
     alt,
@@ -69,7 +68,7 @@ def test_enclosed_peak_examples():
 def test_level_of_empty_pair_is_plus_one():
     ctx = ctx_for(PAIRS4, ONES4)
     lv = ctx.level(0, 0)
-    assert isinstance(lv, SignedLevel) and lv.value == 1
+    assert lv == 1
 
 
 def test_level_low_band_example():
@@ -78,15 +77,15 @@ def test_level_low_band_example():
     assert ctx.alt_value == 2
     x = SignVector.from_sets(4, reds=[2])
     lv = AuditContext(PAIRS4, optimal_coloring(PAIRS4), 1, alt_value=2).level(x.reds, x.blues)
-    assert isinstance(lv, SignedLevel) and lv.value == 2
+    assert lv == 2
 
 
 def test_level_sign_follows_earliest_position():
     ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
     minus = ctx.level(0, mask_of([1]))
-    assert isinstance(minus, SignedLevel) and minus.value == -2
+    assert minus == -2
     plus = ctx.level(mask_of([1]), mask_of([2]))
-    assert isinstance(plus, SignedLevel) and plus.value == 3
+    assert plus == 3
 
 
 def test_level_tie_yields_witness():
@@ -107,15 +106,15 @@ def test_level_magnitude_formula():
     ctx = ctx_for(h, c)
     for x in all_sign_vectors(5):
         lv = ctx.level(x.reds, x.blues)
-        assert isinstance(lv, SignedLevel)
+        assert isinstance(lv, int)
         if alt(x) <= ctx.alt_value:
-            assert abs(lv.value) == alt(x) + 1
+            assert abs(lv) == alt(x) + 1
         else:
             peak = max(
                 enclosed_peak(ctx.vertex_mask(x.reds), h, c),
                 enclosed_peak(ctx.vertex_mask(x.blues), h, c),
             )
-            assert abs(lv.value) == ctx.alt_value + peak - 1 + 2
+            assert abs(lv) == ctx.alt_value + peak - 1 + 2
 
 
 def test_level_can_exceed_n_beyond_regime():
@@ -127,8 +126,8 @@ def test_level_can_exceed_n_beyond_regime():
     peak = 0
     for x in all_sign_vectors(4):
         lv = ctx.level(x.reds, x.blues)
-        assert isinstance(lv, SignedLevel)
-        peak = max(peak, abs(lv.value))
+        assert isinstance(lv, int)
+        peak = max(peak, abs(lv))
     assert peak == 5 > 4
 
 
@@ -140,16 +139,50 @@ def test_level_invariants_proper_colorings(seed):
     levels = {}
     for x in all_sign_vectors(5):
         lv = ctx.level(x.reds, x.blues)
-        assert isinstance(lv, SignedLevel)  # proper colorings never tie
-        levels[(x.reds, x.blues)] = lv.value
+        assert isinstance(lv, int)  # proper colorings never tie
+        levels[(x.reds, x.blues)] = lv
         if alt(x) > ctx.alt_value:
-            assert abs(lv.value) >= ctx.alt_value + 2  # level jump
+            assert abs(lv) >= ctx.alt_value + 2  # level jump
     for y in all_sign_vectors(5):
         ly = levels[(y.reds, y.blues)]
         for x in sub_vectors(y):
             lx = levels[(x.reds, x.blues)]
             assert abs(lx) <= abs(ly)  # monotone magnitude
             assert lx + ly != 0  # no antipodal nesting
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_no_antipodal_nesting_under_any_coloring(seed):
+    # neighbors has no rule for levels v and -v on nested pairs because
+    # they cannot occur; check that below, at and above the regime palette
+    import math
+
+    rng = random.Random(60_000 + seed)
+    n = rng.randint(3, 6)
+    hi = min(3, n)
+    avail = sum(math.comb(n, s) for s in range(1, hi + 1))
+    h = random_hypergraph(n, rng.randint(n, min(14, avail)), (1, hi), seed=61_000 + seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    order = LinearOrder(tuple(perm))
+    high_pairs = 0
+    for k in (1, 2):
+        regime = n - alt_sigma(h, order, k).alt_value + k - 2
+        for palette in sorted({max(1, regime + d) for d in (-1, 0, 1, 3)}):
+            c = Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
+            ctx = ctx_for(h, c, k, order)
+            levels = {(x.reds, x.blues): ctx.level(x.reds, x.blues) for x in all_sign_vectors(n)}
+            for y in all_sign_vectors(n):
+                ly = levels[(y.reds, y.blues)]
+                if isinstance(ly, Violation):
+                    continue
+                for x in sub_vectors(y):
+                    lx = levels[(x.reds, x.blues)]
+                    if isinstance(lx, Violation):
+                        continue
+                    assert lx + ly != 0, (k, palette, x, y)
+                    high_pairs += abs(lx) >= ctx.alt_value + 2
+    assert high_pairs > 0  # the high band is reached, not only the low one
 
 
 def test_permissible_sequence_validation():

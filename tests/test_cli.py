@@ -346,6 +346,39 @@ def test_sampled_mode_flagged(capsys, tmp_path):
     assert rep["seed"] == "11"
 
 
+def test_default_mode_above_the_factorial_cap_samples_32_orderings(capsys, tmp_path):
+    path = tmp_path / "r9.hg"
+    path.write_text(serialize_hypergraph(random_hypergraph(9, 12, (1, 4), 0)))
+    code, out, _ = run(capsys, "altbound", "-H", str(path), "-k", "1")
+    assert code == 0
+    rep = report_dict(out)
+    assert (rep["sigma-mode"], rep["samples"], rep["seed"]) == ("sampled", "32", "0")
+    assert rep["sigma"] == "4 9 1 8 3 2 5 6 7"  # not the identity: the samples were scanned
+    code, out, _ = run(capsys, "altbound", "-H", str(path), "-k", "1", "--samples", "32", "--seed", "0")
+    assert code == 0
+    explicit = report_dict(out)
+    del rep["elapsed-s"], explicit["elapsed-s"]
+    assert rep == explicit
+
+
+def test_gen_random_single_size_and_malformed_sizes(capsys):
+    code, out, _ = run(capsys, "gen", "random", "-n", "6", "-e", "4", "--sizes", "3")
+    assert code == 0
+    h = parse_hypergraph(out)
+    assert len(h.edges) == 4
+    assert all(len(e) == 3 for e in h.edge_sets())
+    code, out, err = run(capsys, "gen", "random", "-n", "6", "-e", "4", "--sizes", "2-3")
+    assert code == 2 and not out
+    assert err == "parse error: sizes must look like '2..4' or '3', got '2-3'\n"
+
+
+def test_non_integer_sigma_is_parse_error(capsys, tmp_path):
+    path = write_kneser(tmp_path, 4, 2)
+    code, out, err = run(capsys, "altsigma", "-H", path, "-k", "1", "--sigma", "1 x 3")
+    assert code == 2 and not out
+    assert err == "parse error: ordering must be whitespace-separated integers, got '1 x 3'\n"
+
+
 def test_stdin_dash(capsys, tmp_path, monkeypatch):
     import io
 

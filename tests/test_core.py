@@ -217,7 +217,7 @@ def test_vertex_cap_bounds_hypergraphs_and_sign_vectors():
 PUBLIC_API = [
     "AltReport", "AuditAnomaly", "AuditContext", "ChromaticResult", "Coloring",
     "Hypergraph", "LinearOrder", "ParseError", "PermissibleSequence",
-    "ProperWithinBound", "SearchLimitError", "SignVector", "SignedLevel",
+    "ProperWithinBound", "SearchLimitError", "SignVector",
     "SimpleGraph", "TheoremCheck", "Violation", "Witness",
     "alt", "alt_min", "alt_sigma", "apply_order", "audit", "chromatic_at_most",
     "chromatic_number", "complete_uniform", "feasible", "is_proper",

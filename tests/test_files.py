@@ -45,6 +45,21 @@ def test_parse_vertex_out_of_range():
     assert err.value.line == 2
 
 
+def test_parse_non_integer_tokens_name_their_line():
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph("n x\n1 2\n")
+    assert err.value.line == 1
+    assert "vertex count 'x' is not an integer" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph("# c\nn 3\n1 2\n1 a\n")
+    assert err.value.line == 4
+    assert "not whitespace-separated integers" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_coloring("1\n\nx\n", 2)
+    assert err.value.line == 3
+    assert "color 'x' is not an integer" in str(err.value)
+
+
 def test_parse_missing_header():
     with pytest.raises(ParseError):
         parse_hypergraph("1 2\n")
