@@ -20,11 +20,11 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
+from itertools import islice, permutations
 
 from .core import Hypergraph, LinearOrder, SignVector, restrict
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
-from .kneser import disjointness_graph, kneser_graph
+from .kneser import disjointness_graph, disjointness_rows, incidence, kneser_graph
 
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
 # orderings before twin reduction.
@@ -96,13 +96,13 @@ class _AltSearch:
 
     Feasibility is a question about the surviving edge-index set, as a bit
     mask over edge indices; that set is what the restriction boils down to.
-    At k = 2 the set is feasible when no two survivors are disjoint, so the
-    search keeps one clash mask per edge, the index bits of the edges
-    disjoint from it, computed the first time that edge survives, and a set
-    is feasible when no survivor's clash mask meets it.  At k >= 3 the
-    answer comes from ``chromatic_at_most`` on the survivors' Kneser graph,
-    memoized on the set, since the same sets recur across branches and
-    across orderings.
+    At k = 2 the set is feasible when no two survivors are disjoint.  The
+    search reads that from one clash mask per edge, its row of the Kneser
+    graph (the index bits of the edges disjoint from it), built once from
+    the incidence masks by ``disjointness_rows``; a set is feasible when
+    no survivor's clash mask meets it.  At k >= 3 the answer comes from
+    ``chromatic_at_most`` on the survivors' Kneser graph, memoized on the
+    set, since the same sets recur across branches and across orderings.
 
     The search also remembers the last ``REMEMBERED_WORDS`` feasible words
     its walks ended on, by vertex rather than by slot, most recently useful
@@ -124,30 +124,20 @@ class _AltSearch:
             raise ValueError(f"level k must be positive, got {k}")
         self.h = h
         self.k = k
-        # Two views of the edges for the walk's edge test (see ``_walk``):
-        # by_vertex[v] lists (index bit, edge mask) for the edges containing
-        # v, scanned when v has few of them; by_edge maps each edge mask to
-        # its index bit, looked up subset by subset when v has many.
-        self.by_vertex: list[list[tuple[int, int]]] = [[] for _ in range(h.n + 1)]
-        self.by_edge = {e: 1 << idx for idx, e in enumerate(h.edges)}
-        for idx, e in enumerate(h.edges):
-            m = e
-            while m:
-                low = m & -m
-                m ^= low
-                self.by_vertex[low.bit_length()].append((1 << idx, e))
+        # inc[v]: the index bits of the edges holding vertex v (see ``_walk``)
+        inc = incidence(h.edges)
+        self.inc = [0, *inc] + [0] * (h.n - len(inc))
         # k >= 3: feasibility by survivor set, decided by a coloring
         self._chrom: dict[int, bool] = {}
-        # k = 2: per edge, the index bits of the edges disjoint from it,
-        # filled in the first time that edge survives
-        self._clash: list[int | None] = [None] * len(h.edges)
         # True when even the all-surviving edge set fits the budget, in
         # which case every sign word is feasible and alt = n outright; at
         # k = 2 that is when H is an intersecting family.
         if k == 1:
             self.all_feasible = not h.edges
         elif k == 2:
-            self.all_feasible = all(e & f for e, f in combinations(h.edges, 2))
+            # per edge, the index bits of the edges disjoint from it
+            self._clash = disjointness_rows(h.edges)
+            self.all_feasible = not any(self._clash)
         else:
             self.all_feasible = self._chrom_ok((1 << len(h.edges)) - 1)
         # Remembered words as ``bytes.translate`` arguments: a table taking
@@ -163,12 +153,7 @@ class _AltSearch:
             while m:
                 low = m & -m
                 m ^= low
-                i = low.bit_length() - 1
-                mask = clash[i]
-                if mask is None:
-                    e = self.h.edges[i]
-                    mask = clash[i] = sum(bit for f, bit in self.by_edge.items() if not e & f)
-                if mask & survivors:
+                if clash[low.bit_length() - 1] & survivors:
                     return False
             return True
         cached = self._chrom.get(survivors)
@@ -266,28 +251,29 @@ class _AltSearch:
         So the witness is the lexicographically least optimal word, and it
         does not depend on ``limit``.
 
-        Giving slot ``depth`` the side ``nxt`` joins makes newly
-        monochromatic exactly the edges that hold its vertex v and lie
-        inside ``nxt | v``.  The walk finds them by the cheaper of two
-        tests, chosen at each node: when v lies on no more edges than ``nxt``
-        has subsets, it scans ``by_vertex[v]``; otherwise it looks up
-        ``sub | v`` in ``by_edge`` for every subset ``sub`` of ``nxt``.
-        Both find the same edges, so the choice changes no outcome; the
-        lookups win on dense inputs such as KG(m,r), where v lies on
-        C(m-1,r-1) edges while ``nxt`` holds about half of the slots
-        already given.
+        Giving slot ``depth`` the side the next nonzero slot joins makes
+        newly monochromatic exactly the edges that hold its vertex v and
+        no vertex off that side.  The vertices off it are those of earlier
+        slots on the other side or at 0, whose edges ``onxt`` holds, and
+        those of later slots, whose edges ``later[depth + 1]`` holds.  So
+        the new edges are ``inc[v] & ~(onxt | later[depth + 1])``: one test
+        of edge-index masks at every node, for every k.
         """
         n = self.h.n
         best = -1
         best_sides = (0, 0)
         zero_first = False
         k = self.k
-        by_vertex = self.by_vertex
-        by_edge = self.by_edge
+        slot_inc = [self.inc[v] for v in perm]
+        # later[d]: index bits of the edges holding the vertex of some slot >= d
+        later = [0] * (n + 1)
+        for d in range(n - 1, -1, -1):
+            later[d] = later[d + 1] | slot_inc[d]
 
-        # ``nxt``/``prev``: vertex masks of the side the next nonzero slot
-        # joins and of the other side; ``wnxt``/``wprev``: the same in slots.
-        def walk(depth: int, nxt: int, prev: int, wnxt: int, wprev: int, cur: int, surv: int) -> None:
+        # ``onxt``/``oprev``: index bits of the edges holding a given vertex
+        # off the side the next nonzero slot joins, and off the other side;
+        # ``wnxt``/``wprev``: the slots of those two sides.
+        def walk(depth: int, onxt: int, oprev: int, wnxt: int, wprev: int, cur: int, surv: int) -> None:
             nonlocal best, best_sides
             if cur > best:
                 best = cur
@@ -297,38 +283,17 @@ class _AltSearch:
                     return
             if depth == n or cur + (n - depth) <= best:
                 return
+            at = slot_inc[depth]
             if zero_first:
-                walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
+                walk(depth + 1, onxt | at, oprev | at, wnxt, wprev, cur, surv)
                 if best >= limit:
                     return
-            v = perm[depth]
-            vbit = 1 << (v - 1)
-            side = nxt | vbit
-            # ``fresh``: index bits of the edges this sign makes monochromatic;
-            # at k = 1 the first one rules the sign out, so the test stops there
-            fresh = 0
-            edges_at_v = by_vertex[v]
-            if 1 << nxt.bit_count() < len(edges_at_v):
-                sub = nxt
-                while True:
-                    bit = by_edge.get(sub | vbit)
-                    if bit is not None:
-                        fresh |= bit
-                        if k == 1:
-                            break
-                    if not sub:
-                        break
-                    sub = (sub - 1) & nxt
-            else:
-                for bit, e in edges_at_v:
-                    if e & ~side == 0:
-                        fresh |= bit
-                        if k == 1:
-                            break
+            # ``fresh``: index bits of the edges this sign makes monochromatic
+            fresh = at & ~(onxt | later[depth + 1])
             if not fresh or k > 1 and self._chrom_ok(surv | fresh):
-                walk(depth + 1, prev, side, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
+                walk(depth + 1, oprev | at, onxt, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
             if not zero_first and best < limit:
-                walk(depth + 1, nxt, prev, wnxt, wprev, cur, surv)
+                walk(depth + 1, onxt | at, oprev | at, wnxt, wprev, cur, surv)
 
         walk(0, 0, 0, 0, 0, 0, 0)
         if best < limit:

@@ -108,10 +108,9 @@ def test_alt_sigma_witness_is_first_optimal_word(instance):
 @st.composite
 def dense_or_sparse_instances(draw):
     """(h, order, k): n <= 7, a shuffled ordering, k in 1..3, and edges of
-    one of two kinds.  Dense inputs keep most 2- and 3-subsets, so a vertex
-    lies on more edges than the walk's open side has subsets and ``_walk``
-    finds new monochromatic edges by subset lookups; sparse inputs hold at
-    most n edges, so it mostly scans the edges at the vertex."""
+    one of two kinds.  Dense inputs keep most 2- and 3-subsets, so each
+    sign makes many edges monochromatic at once; sparse inputs hold at
+    most n edges, so most vertices lie on one edge or none."""
     n = draw(st.integers(2, 7))
     if draw(st.booleans()):
         pool = [mask_of(c) for size in (2, 3) for c in combinations(range(1, n + 1), size)]
@@ -133,8 +132,8 @@ def test_alt_sigma_matches_enumeration_on_dense_and_sparse_inputs(instance):
 
 
 def test_alt_sigma_on_kg_16_5():
-    # each vertex lies on C(15,4) = 1,365 edges, so the walk's edge test is
-    # by subset lookups nearly everywhere
+    # each vertex lies on C(15,4) = 1,365 edges, so the walk's edge test
+    # works on 4,368-bit incidence masks
     rep = alt_sigma(complete_uniform(16, 5), LinearOrder.identity(16), 1)
     assert rep.alt_value == 8
     assert rep.witness.word() == "00000000RBRBRBRB"
@@ -169,9 +168,9 @@ def level_two_inputs(draw):
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(level_two_inputs())
 def test_level_two_feasibility_matches_the_coloring_scan(instance):
-    # k = 2 asks no coloring question: one search's clash masks, filled in
-    # as edges survive, must agree with a fresh 1-coloring decision on
-    # every word and through a walk
+    # k = 2 asks no coloring question: one search's clash masks, its
+    # Kneser rows, must agree with a fresh 1-coloring decision on every
+    # word and through a walk
     h, order, words = instance
     n, full = h.n, (1 << h.n) - 1
     search = bounds._AltSearch(h, 2)

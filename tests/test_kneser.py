@@ -1,6 +1,7 @@
 """Kneser graph construction and the hypergraph generators."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     Hypergraph,
@@ -9,6 +10,7 @@ from altermatic import (
     random_hypergraph,
     schrijver_hypergraph,
 )
+from altermatic.kneser import disjointness_graph, incidence
 
 
 def test_pairs_of_four_is_perfect_matching():
@@ -43,6 +45,48 @@ def test_kneser_graph_has_no_loops():
         assert g.vcount == len(h.edges)
         for v in range(g.vcount):
             assert not g.rows[v] >> v & 1
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): n <= 8 and distinct nonempty masks over 1..n, drawn as
+    a random list, an edgeless one, a single edge, a list on the low
+    vertices only (the top ones isolated), or a chain of nested edges."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    shape = draw(st.sampled_from(("random", "edgeless", "single", "low", "nested")))
+    if shape == "random":
+        edges = draw(st.lists(st.integers(1, full), unique=True, max_size=20))
+    elif shape == "edgeless":
+        edges = []
+    elif shape == "single":
+        edges = [draw(st.integers(1, full))]
+    elif shape == "low":
+        low = (1 << draw(st.integers(1, n))) - 1
+        edges = draw(st.lists(st.integers(1, low), unique=True, max_size=20))
+    else:
+        order = draw(st.permutations(range(n)))
+        sizes = draw(st.lists(st.integers(1, n), unique=True, min_size=1))
+        edges = [sum(1 << p for p in order[:size]) for size in sizes]
+    return n, edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(edge_lists())
+def test_kneser_rows_and_incidence_match_the_definitions(instance):
+    n, edges = instance
+    m = len(edges)
+    for g in (kneser_graph(Hypergraph(n, tuple(edges))), disjointness_graph(edges)):
+        assert g.vcount == m
+        for i in range(m):
+            for j in range(m):
+                assert bool(g.rows[i] >> j & 1) == (i != j and not edges[i] & edges[j]), (i, j)
+    inc = incidence(edges)
+    for p in range(n):
+        row = inc[p] if p < len(inc) else 0
+        for i, e in enumerate(edges):
+            assert bool(row >> i & 1) == bool(e >> p & 1), (p, i)
+    assert len(inc) <= n
 
 
 def test_complete_uniform_counts_and_order():
