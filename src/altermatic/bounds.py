@@ -389,17 +389,43 @@ def _ordering_stream(n: int, twins: tuple[tuple[int, int], ...]):
     always agree; the lexicographically smaller one stands for both.
 
     For each pair (u, v) of ``twins`` (see ``_twin_pairs``) only orderings
-    listing u before v are kept, so each twin class appears in increasing
-    order.  Swapping two twins maps E(H) onto itself, so orderings that
-    differ by such swaps see the same slot hypergraph, up to the numbering
-    of its edges: their searches take the same branches and return the
-    same alt and witness word.  Without twins the stream is the plain
+    listing u before v are generated, so each twin class appears in
+    increasing order.  Swapping two twins maps E(H) onto itself, so
+    orderings that differ by such swaps see the same slot hypergraph, up
+    to the numbering of its edges: their searches take the same branches
+    and return the same alt and witness word.
+
+    Slots are filled left to right.  Each slot is offered, in increasing
+    order, every unplaced vertex that is the least unplaced member of its
+    class.  Once no class has two unplaced members, every order of the
+    rest is allowed, so the tail is ``permutations`` of the remaining
+    vertices, which keeps the stream in lexicographic order.  Without
+    twins that happens at the first slot, and the stream is the plain
     reversal-filtered permutation scan.
     """
-    stream = (p for p in permutations(range(1, n + 1)) if n == 1 or p[0] < p[-1])
-    for u, v in twins:
-        stream = filter(lambda p, u=u, v=v: p.index(u) < p.index(v), stream)
-    return stream
+    before = {v: u for u, v in twins}
+    heads = {u for u, _ in twins}
+
+    def prefixes(prefix, rest, open_pairs):
+        # ``open_pairs``: pairs (u, v) of ``twins`` with u still in ``rest``
+        if not open_pairs:
+            yield prefix, rest
+            return
+        for i, v in enumerate(rest):
+            if before.get(v) not in rest:
+                yield from prefixes(prefix + (v,), rest[:i] + rest[i + 1 :], open_pairs - (v in heads))
+
+    for prefix, rest in prefixes((), tuple(range(1, n + 1)), len(twins)):
+        if prefix:
+            first = prefix[0]
+            for tail in permutations(rest):
+                if first < tail[-1]:
+                    yield prefix + tail
+        else:
+            for p in permutations(rest):
+                # p[0] == p[-1] only when n = 1, whose one ordering is kept
+                if p[0] <= p[-1]:
+                    yield p
 
 
 def _sampled_orderings(n: int, samples: int, seed: int):
@@ -426,12 +452,12 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
     Exhaustive mode (n at most ``FACTORIAL_CAP``) scans the orderings
     of ``_ordering_stream`` and reports the first one attaining the
     minimum: the lexicographically first minimiser over all n! orderings.
-    The scan skips an ordering when its reverse, or an ordering obtained
-    by sorting twin vertices (``_twin_pairs``) within their positions,
-    comes earlier; either has the same alt and witness, and the first
-    minimiser survives both cuts, because sorting the values within fixed
-    positions is lexicographically smallest and a minimiser's reverse is
-    a minimiser too.  So twin reduction changes no report.
+    An ordering is never generated when its reverse, or an ordering
+    obtained by sorting twin vertices (``_twin_pairs``) within their
+    positions, comes earlier; either has the same alt and witness, and
+    the first minimiser is generated, because sorting the values within
+    fixed positions is lexicographically smallest and a minimiser's
+    reverse is a minimiser too.  So twin reduction changes no report.
 
     Sampled mode scans the identity plus ``samples`` seeded random
     orderings and is flagged as such: the result can overshoot the true

@@ -415,6 +415,61 @@ def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
         assert len(calls) == expected
 
 
+def _filtered_stream(n, twins):
+    # oracle: every permutation, kept when it precedes its reverse and
+    # lists each twin pair (u, v) with u first
+    stream = (p for p in permutations(range(1, n + 1)) if n == 1 or p[0] < p[-1])
+    for u, v in twins:
+        stream = filter(lambda p, u=u, v=v: p.index(u) < p.index(v), stream)
+    return list(stream)
+
+
+def _chained_pairs(classes):
+    # the twin pairs of ``_twin_pairs``: each class as a chain in increasing order
+    return tuple(pair for c in classes for pair in zip(sorted(c), sorted(c)[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.data())
+def test_ordering_stream_equals_filtered_scan(data):
+    n = data.draw(st.integers(1, 7))
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    classes = [[v for v in range(1, n + 1) if labels[v - 1] == c] for c in range(n)]
+    twins = _chained_pairs(classes)
+    assert list(bounds._ordering_stream(n, twins)) == _filtered_stream(n, twins)
+
+
+@pytest.mark.parametrize(
+    "twins",
+    [((1, 2),), ((7, 8),), ((1, 8),), _chained_pairs([range(1, 9)]), ()],
+    ids=["1-2", "7-8", "1-8", "all", "none"],
+)
+def test_ordering_stream_equals_filtered_scan_at_cap(twins):
+    assert list(bounds._ordering_stream(8, twins)) == _filtered_stream(8, twins)
+
+
+def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
+    # machine-independent work count: the orderings drawn from
+    # ``permutations``.  Every vertex of KG(8,r) is a twin of every other,
+    # so the stream places n - 1 of them and draws one; a filter over all
+    # orderings draws 8! = 40,320.  SG(7,2) has no twins: 7!/2 orderings.
+    drawn = 0
+
+    def counting(items):
+        nonlocal drawn
+        for p in permutations(items):
+            drawn += 1
+            yield p
+
+    monkeypatch.setattr(bounds, "permutations", counting)
+    for h in (complete_uniform(8, 2), complete_uniform(8, 3)):
+        drawn = 0
+        alt_min(h, 1)
+        assert drawn <= h.n
+    sg = schrijver_hypergraph(7, 2)
+    assert sum(1 for _ in bounds._ordering_stream(7, bounds._twin_pairs(sg))) == 2520
+
+
 def test_remembered_words_spare_most_walks(monkeypatch):
     # machine-independent work count: a word that reached the minimum under
     # one ordering reaches it under most of the next ones, so few of the
