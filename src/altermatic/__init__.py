@@ -22,7 +22,7 @@ from .core import (
 )
 from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number, is_proper
-from .bounds import AltReport, TheoremCheck, alt_min, alt_sigma, feasible, verify_theorem
+from .bounds import AltReport, TheoremCheck, alt_min, alt_sigma, verify_theorem
 from .audit import (
     AuditAnomaly,
     AuditContext,
@@ -68,7 +68,6 @@ __all__ = [
     "chromatic_at_most",
     "chromatic_number",
     "complete_uniform",
-    "feasible",
     "is_proper",
     "kneser_graph",
     "mask_of",

@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .core import Hypergraph, LinearOrder, SignVector, restrict
+from .core import Hypergraph, LinearOrder, SignVector
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
-from .kneser import disjointness_graph, disjointness_rows, incidence, kneser_graph
+from .kneser import kneser_graph
 
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
 # orderings before twin reduction.
@@ -76,21 +76,6 @@ class TheoremCheck:
     coloring: Coloring
 
 
-def feasible(h: Hypergraph, x: SignVector, order: LinearOrder, k: int) -> bool:
-    """Whether x's surviving sub-hypergraph is within the k-level budget.
-
-    k = 1 asks for an empty surviving edge set; k >= 2 asks the Kneser
-    graph of the survivors to be (k-1)-colorable.  Downward closed: any
-    sub-sign-vector of a feasible one is feasible.
-    """
-    if k < 1:
-        raise ValueError(f"level k must be positive, got {k}")
-    sub = restrict(h, x, order)
-    if k == 1:
-        return not sub.edges
-    return chromatic_at_most(kneser_graph(sub), k - 1)
-
-
 class _AltSearch:
     """Shared machinery for the per-ordering searches of one (H, k) pair.
 
@@ -98,11 +83,11 @@ class _AltSearch:
     mask over edge indices; that set is what the restriction boils down to.
     At k = 2 the set is feasible when no two survivors are disjoint.  The
     search reads that from one clash mask per edge, its row of the Kneser
-    graph (the index bits of the edges disjoint from it), built once from
-    the incidence masks by ``disjointness_rows``; a set is feasible when
-    no survivor's clash mask meets it.  At k >= 3 the answer comes from
-    ``chromatic_at_most`` on the survivors' Kneser graph, memoized on the
-    set, since the same sets recur across branches and across orderings.
+    graph (the index bits of the edges disjoint from it), which is
+    ``h.kneser_rows``; a set is feasible when no survivor's clash mask
+    meets it.  At k >= 3 the answer comes from ``chromatic_at_most`` on
+    the survivors' Kneser graph, memoized on the set, since the same sets
+    recur across branches and across orderings.
 
     The search also remembers the last ``REMEMBERED_WORDS`` feasible words
     its walks ended on, by vertex rather than by slot, most recently useful
@@ -124,9 +109,6 @@ class _AltSearch:
             raise ValueError(f"level k must be positive, got {k}")
         self.h = h
         self.k = k
-        # inc[v]: the index bits of the edges holding vertex v (see ``_walk``)
-        inc = incidence(h.edges)
-        self.inc = [0, *inc] + [0] * (h.n - len(inc))
         # k >= 3: feasibility by survivor set, decided by a coloring
         self._chrom: dict[int, bool] = {}
         # True when even the all-surviving edge set fits the budget, in
@@ -135,11 +117,11 @@ class _AltSearch:
         if k == 1:
             self.all_feasible = not h.edges
         elif k == 2:
-            # per edge, the index bits of the edges disjoint from it
-            self._clash = disjointness_rows(h.edges)
+            self._clash = h.kneser_rows
             self.all_feasible = not any(self._clash)
         else:
-            self.all_feasible = self._chrom_ok((1 << len(h.edges)) - 1)
+            full = (1 << len(h.edges)) - 1
+            self.all_feasible = self._chrom[full] = chromatic_at_most(kneser_graph(h), k - 1)
         # Remembered words as ``bytes.translate`` arguments: a table taking
         # each vertex id to b"R" or b"B", and the ids of its 0 vertices
         # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
@@ -158,8 +140,8 @@ class _AltSearch:
             return True
         cached = self._chrom.get(survivors)
         if cached is None:
-            edges = [e for i, e in enumerate(self.h.edges) if (survivors >> i) & 1]
-            cached = chromatic_at_most(disjointness_graph(edges), self.k - 1)
+            edges = tuple(e for i, e in enumerate(self.h.edges) if (survivors >> i) & 1)
+            cached = chromatic_at_most(kneser_graph(Hypergraph(self.h.n, edges)), self.k - 1)
             self._chrom[survivors] = cached
         return cached
 
@@ -256,15 +238,15 @@ class _AltSearch:
         no vertex off that side.  The vertices off it are those of earlier
         slots on the other side or at 0, whose edges ``onxt`` holds, and
         those of later slots, whose edges ``later[depth + 1]`` holds.  So
-        the new edges are ``inc[v] & ~(onxt | later[depth + 1])``: one test
-        of edge-index masks at every node, for every k.
+        the new edges are ``h.incidence[v - 1] & ~(onxt | later[depth + 1])``:
+        one test of edge-index masks at every node, for every k.
         """
         n = self.h.n
         best = -1
         best_sides = (0, 0)
         zero_first = False
         k = self.k
-        slot_inc = [self.inc[v] for v in perm]
+        slot_inc = [self.h.incidence[v - 1] for v in perm]
         # later[d]: index bits of the edges holding the vertex of some slot >= d
         later = [0] * (n + 1)
         for d in range(n - 1, -1, -1):

@@ -3,12 +3,15 @@
 Vertices are the integers 1..n.  Every vertex subset is carried as a Python
 int used as a fixed-width bit mask, with vertex v stored in bit v-1.  All
 types are immutable after construction and every function here is pure, so
-everything in this module is safe for unrestricted concurrent use.
+everything in this module is safe for unrestricted concurrent use.  A
+``Hypergraph`` computes its masks lazily, once, on first read; a concurrent
+first read at worst recomputes the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 DEFAULT_VERTEX_CAP = 63
@@ -136,6 +139,9 @@ class Hypergraph:
     ``origin`` is populated on hypergraphs produced by ``restrict`` and maps
     each retained edge back to its index in the parent hypergraph.  It is
     carried alongside the value and ignored by equality.
+
+    ``incidence`` and ``kneser_rows`` are kept in the instance ``__dict__``
+    (hence no ``slots=True``); equality, hash and repr ignore them.
     """
 
     n: int
@@ -166,6 +172,36 @@ class Hypergraph:
 
     def edge_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vertices_of(e) for e in self.edges)
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        """Entry p holds the index bits of the edges that hold vertex bit p:
+        bit i exactly when edge i has bit p.  One entry per vertex."""
+        inc = [0] * self.n
+        for i, e in enumerate(self.edges):
+            bit = 1 << i
+            while e:
+                low = e & -e
+                e ^= low
+                inc[low.bit_length() - 1] |= bit
+        return tuple(inc)
+
+    @cached_property
+    def kneser_rows(self) -> tuple[int, ...]:
+        """Row i holds the index bits of the edges disjoint from edge i:
+        every edge bit except those of the edges meeting it, which are the
+        OR of the incidence masks of its vertices."""
+        inc = self.incidence
+        full = (1 << len(self.edges)) - 1
+        rows = []
+        for e in self.edges:
+            meet = 0
+            while e:
+                low = e & -e
+                e ^= low
+                meet |= inc[low.bit_length() - 1]
+            rows.append(full & ~meet)
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """General Kneser graphs and the hypergraph families used to exercise them.
 
 The Kneser graph of a hypergraph has one vertex per hyperedge, with edges
-between disjoint hyperedges.  Adjacency is read off one representation,
-the incidence masks: for each vertex, the index bits of the edges that
-hold it.  Edge i meets exactly the edges in the OR of the incidence masks
-of its vertices, so its Kneser row is the complement of that OR.
+between disjoint hyperedges.  Its adjacency rows are
+``Hypergraph.kneser_rows``, which the hypergraph builds once from its
+per-vertex incidence masks (``Hypergraph.incidence``) and keeps.
 Generators emit edges in lexicographic order of their sorted vertex
 tuples so that Kneser vertex indices are stable across runs and
 platforms.
@@ -19,49 +18,13 @@ from math import comb
 from .core import Hypergraph, SimpleGraph, mask_of, vertices_of
 
 
-def incidence(edges) -> list[int]:
-    """Entry p holds the index bits of the edges that hold vertex bit p:
-    bit i exactly when edge i has bit p.  The list ends at the highest
-    vertex bit any edge holds."""
-    inc = [0] * max((e.bit_length() for e in edges), default=0)
-    for i, e in enumerate(edges):
-        bit = 1 << i
-        while e:
-            low = e & -e
-            e ^= low
-            inc[low.bit_length() - 1] |= bit
-    return inc
-
-
-def disjointness_rows(edges) -> list[int]:
-    """Row i holds bit j exactly when nonempty masks i and j are disjoint:
-    every edge bit except those of the edges meeting edge i."""
-    inc = incidence(edges)
-    full = (1 << len(edges)) - 1
-    rows = []
-    for e in edges:
-        meet = 0
-        while e:
-            low = e & -e
-            e ^= low
-            meet |= inc[low.bit_length() - 1]
-        rows.append(full & ~meet)
-    return rows
-
-
-def disjointness_graph(edges) -> SimpleGraph:
-    """Graph on a sequence of nonempty vertex masks; i ~ j iff masks i and
-    j are disjoint."""
-    return SimpleGraph(len(edges), tuple(disjointness_rows(edges)))
-
-
 def kneser_graph(h: Hypergraph) -> SimpleGraph:
     """Graph on the hyperedges of ``h``; i ~ j iff edges i and j are disjoint.
 
     Nonempty edges are never disjoint from themselves, so there are no
     loops.  An empty edge list gives the empty graph.
     """
-    return disjointness_graph(h.edges)
+    return SimpleGraph(len(h.edges), h.kneser_rows)
 
 
 def complete_uniform(m: int, r: int) -> Hypergraph:

@@ -55,6 +55,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph.from_edges(n, pairs)
 
 
+def feasible(h: Hypergraph, x: SignVector, order: LinearOrder, k: int) -> bool:
+    """Whether the slot word x, labelled through ``order``, is feasible at
+    level k, by the reference scan."""
+    vertex_word = apply_order(x, order)
+    return reference.feasible_by_scan(h, vertex_word.reds, vertex_word.blues, k)
+
+
 def first_optimal_word(h: Hypergraph, order: LinearOrder, k: int) -> tuple[int, SignVector]:
     """(alt, witness) of one ordering by brute force over slot words.
 
@@ -75,7 +82,6 @@ def first_optimal_word(h: Hypergraph, order: LinearOrder, k: int) -> tuple[int, 
                 count += 1
         if count > best:
             word = SignVector(h.n, reds, blues)
-            vertex_word = apply_order(word, order)
-            if reference.feasible_by_scan(h, vertex_word.reds, vertex_word.blues, k):
+            if feasible(h, word, order, k):
                 best, witness = count, word
     return best, witness

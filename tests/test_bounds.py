@@ -15,7 +15,6 @@ from altermatic import (
     alt_sigma,
     chromatic_number,
     complete_uniform,
-    feasible,
     kneser_graph,
     mask_of,
     random_hypergraph,
@@ -25,7 +24,7 @@ from altermatic import (
 from altermatic import bounds, reference
 from altermatic import coloring as coloring_module, kneser as kneser_module
 from altermatic.coloring import greedy_clique, greedy_color_count
-from helpers import all_sign_vectors, first_optimal_word, sub_vectors, subset_of
+from helpers import all_sign_vectors, feasible, first_optimal_word, sub_vectors, subset_of
 
 
 @st.composite
@@ -47,9 +46,12 @@ def test_feasible_examples():
     assert not feasible(h, SignVector.from_sets(4, reds=[1, 2], blues=[3, 4]), order, 2)
 
 
-def test_feasible_rejects_bad_level():
+def test_searches_reject_bad_level():
+    h = complete_uniform(4, 2)
     with pytest.raises(ValueError):
-        feasible(complete_uniform(4, 2), SignVector(4), LinearOrder.identity(4), 0)
+        bounds._AltSearch(h, 0)
+    with pytest.raises(ValueError):
+        alt_sigma(h, LinearOrder.identity(4), 0)
 
 
 def test_alt_sigma_pairs_families():
@@ -211,9 +213,9 @@ def test_level_two_search_asks_no_coloring_question(monkeypatch):
         return chrom_ok(self, survivors)
 
     for module, name in (
-        (bounds, "disjointness_graph"),
+        (bounds, "kneser_graph"),
         (bounds, "chromatic_at_most"),
-        (kneser_module, "disjointness_graph"),
+        (kneser_module, "kneser_graph"),
         (coloring_module, "chromatic_at_most"),
     ):
         counting(module, name)

@@ -220,7 +220,7 @@ PUBLIC_API = [
     "ProperWithinBound", "SearchLimitError", "SignVector",
     "SimpleGraph", "TheoremCheck", "Violation", "Witness",
     "alt", "alt_min", "alt_sigma", "apply_order", "audit", "chromatic_at_most",
-    "chromatic_number", "complete_uniform", "feasible", "is_proper",
+    "chromatic_number", "complete_uniform", "is_proper",
     "kneser_graph", "mask_of", "neighbors", "parse_coloring", "parse_hypergraph",
     "random_hypergraph", "restrict", "schrijver_hypergraph", "serialize_coloring",
     "serialize_hypergraph", "support_size", "verify_theorem", "verify_witness",

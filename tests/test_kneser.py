@@ -10,7 +10,7 @@ from altermatic import (
     random_hypergraph,
     schrijver_hypergraph,
 )
-from altermatic.kneser import disjointness_graph, incidence
+from altermatic import bounds
 
 
 def test_pairs_of_four_is_perfect_matching():
@@ -76,17 +76,29 @@ def edge_lists(draw):
 def test_kneser_rows_and_incidence_match_the_definitions(instance):
     n, edges = instance
     m = len(edges)
-    for g in (kneser_graph(Hypergraph(n, tuple(edges))), disjointness_graph(edges)):
-        assert g.vcount == m
-        for i in range(m):
-            for j in range(m):
-                assert bool(g.rows[i] >> j & 1) == (i != j and not edges[i] & edges[j]), (i, j)
-    inc = incidence(edges)
-    for p in range(n):
-        row = inc[p] if p < len(inc) else 0
+    h = Hypergraph(n, tuple(edges))
+    assert len(h.kneser_rows) == m
+    for i, row in enumerate(h.kneser_rows):
+        for j in range(m):
+            assert bool(row >> j & 1) == (i != j and not edges[i] & edges[j]), (i, j)
+    assert len(h.incidence) == n
+    for p, row in enumerate(h.incidence):
         for i, e in enumerate(edges):
             assert bool(row >> i & 1) == bool(e >> p & 1), (p, i)
-    assert len(inc) <= n
+
+
+def test_graph_and_level_two_search_share_the_hypergraph_rows():
+    h = schrijver_hypergraph(8, 2)
+    assert kneser_graph(h).rows is h.kneser_rows
+    assert bounds._AltSearch(h, 2)._clash is h.kneser_rows
+
+
+def test_cached_masks_leave_the_value_unchanged():
+    h = complete_uniform(5, 2)
+    before = (hash(h), repr(h))
+    assert h.incidence and h.kneser_rows
+    assert h == Hypergraph(h.n, h.edges)
+    assert (hash(h), repr(h)) == before
 
 
 def test_complete_uniform_counts_and_order():
