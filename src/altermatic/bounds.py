@@ -44,7 +44,9 @@ class AltReport:
     actual vertices.  ``sigma_mode`` is "single" for a fixed-ordering
     search, "exhaustive" or "sampled" for minimization; a sampled minimum
     is an upper bound on the true minimum, hence still yields a valid
-    (possibly weaker) chromatic bound.
+    (possibly weaker) chromatic bound.  A minimization given a ceiling on
+    chi stops scanning at the theorem's floor (see ``alt_min``); the
+    report is the one the full scan gives.
     """
 
     alt_value: int
@@ -428,7 +430,9 @@ def _seed_orderings(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(islice(_sampled_orderings(n, SEED_ORDERINGS, 0), 1, None))
 
 
-def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> AltReport:
+def alt_min(
+    h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0, ceiling: int | None = None
+) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
     Exhaustive mode (n at most ``FACTORIAL_CAP``) scans the orderings
@@ -445,6 +449,17 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
     orderings and is flagged as such: the result can overshoot the true
     minimum but every scanned ordering already certifies its own
     chromatic bound, so the report stays sound.
+
+    Either scan stops at the floor max(0, n + k - 1 - ``ceiling``).  It
+    only runs when some word is infeasible, that is when KG(H) is not
+    (k-1)-colorable, so chi >= k and the theorem gives
+    chi >= n - alt + k - 1 for every ordering: no ordering has alt below
+    n + k - 1 - chi.  Once the best ordering sits at the floor, no later
+    one can be strictly lower, and only a strictly lower one replaces it,
+    so the stop changes no report.  ``ceiling`` must be a proven upper bound on chi, such as
+    ``coloring.greedy_color_count`` of ``kneser_graph(h)``; never pass a
+    bound derived from the altermatic bound itself.  Without it the floor
+    is 0, where alt cannot go lower anyway.
     """
     n = h.n
     search = _AltSearch(h, k, remember=samples is None)
@@ -464,12 +479,13 @@ def alt_min(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0)
             raise ValueError(f"sample count must be positive, got {samples}")
         orderings = _sampled_orderings(n, samples, seed)
 
+    floor = 0 if ceiling is None else max(0, n + k - 1 - ceiling)
     best: tuple[int, SignVector, tuple[int, ...]] | None = None
     for perm in orderings:
         outcome = search.run(perm, threshold=None if best is None else best[0])
         if outcome is not None:
             best = (outcome[0], outcome[1], perm)
-            if best[0] == 0:
+            if best[0] <= floor:
                 break
     assert best is not None
     return AltReport(best[0], best[1], LinearOrder(best[2]), k, mode)

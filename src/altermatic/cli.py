@@ -202,7 +202,8 @@ def _cmd_altsigma(args) -> int:
 def _cmd_altbound(args) -> int:
     with _request(args) as (h, _, report):
         samples, seed = _alt_mode(args, h.n)
-        rep = _within_level(h, alt_min(h, args.k, samples=samples, seed=seed))
+        ceiling = greedy_color_count(kneser_graph(h))
+        rep = _within_level(h, alt_min(h, args.k, samples=samples, seed=seed, ceiling=ceiling))
         report["sigma_mode"] = rep.sigma_mode
         if samples is not None:
             report["samples"] = samples

@@ -417,6 +417,53 @@ def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
         assert len(calls) == expected
 
 
+@st.composite
+def floor_instances(draw):
+    """(h, k): n <= 7, one to eight distinct edges of sizes 1..4, k in 1..3."""
+    n = draw(st.integers(1, 7))
+    sized = [m for m in range(1, 1 << n) if m.bit_count() <= 4]
+    edges = draw(st.lists(st.sampled_from(sized), unique=True, min_size=1, max_size=8))
+    return Hypergraph(n, tuple(edges)), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(floor_instances(), st.integers(0, 3))
+def test_ceiling_changes_no_report(instance, seed):
+    # oracle: the scan without a ceiling; both the DSATUR count and the
+    # exact chi are proven upper bounds, so stopping at either floor
+    # keeps alt, sigma and witness in both modes
+    h, k = instance
+    g = kneser_graph(h)
+    for ceiling in (greedy_color_count(g), reference.chromatic_by_enumeration(g)):
+        assert alt_min(h, k, ceiling=ceiling) == alt_min(h, k)
+        assert alt_min(h, k, samples=12, seed=seed, ceiling=ceiling) == alt_min(h, k, samples=12, seed=seed)
+
+
+def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
+    # machine-independent work count.  SG(8,2) at k = 2 has bound 6 =
+    # DSATUR at the identity, so one ordering settles it; at k = 1 its
+    # bound is chi - 1 and the full 8!/2 scan stays.  verify_theorem
+    # passes no ceiling, since the floor assumes the theorem it checks.
+    calls = []
+    run = bounds._AltSearch.run
+
+    def counting(self, perm, threshold=None):
+        calls.append(perm)
+        return run(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting)
+    h = schrijver_hypergraph(8, 2)
+    ceiling = greedy_color_count(kneser_graph(h))
+    for scan, expected in (
+        (lambda: alt_min(h, 2, ceiling=ceiling), 1),
+        (lambda: alt_min(h, 1, ceiling=ceiling), 20160),
+        (lambda: verify_theorem(h, 2), 20160),
+    ):
+        calls.clear()
+        scan()
+        assert len(calls) == expected
+
+
 def _filtered_stream(n, twins):
     # oracle: every permutation, kept when it precedes its reverse and
     # lists each twin pair (u, v) with u first

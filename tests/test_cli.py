@@ -26,7 +26,7 @@ from altermatic import (
     schrijver_hypergraph,
     serialize_hypergraph,
 )
-from altermatic import cli, coloring
+from altermatic import bounds, cli, coloring
 from altermatic.cli import main
 
 
@@ -178,6 +178,25 @@ def test_altbound_pairs_of_five(capsys, tmp_path):
     assert rep["alt"] == "2"
     assert rep["bound"] == "3"
     assert rep["sigma-mode"] == "exhaustive"
+
+
+def test_altbound_stops_at_the_dsatur_floor(capsys, tmp_path, monkeypatch):
+    # SG(8,2) at k = 2: bound 6 = DSATUR at the identity, so the command
+    # passes that ceiling and runs one ordering, where the full scan runs 8!/2
+    path = tmp_path / "sg82.hg"
+    path.write_text(serialize_hypergraph(schrijver_hypergraph(8, 2)))
+    calls = []
+    run_search = bounds._AltSearch.run
+
+    def counting(self, perm, threshold=None):
+        calls.append(perm)
+        return run_search(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting)
+    code, out, _ = run(capsys, "altbound", "-H", str(path), "-k", "2", "--exhaustive")
+    assert code == 0
+    assert report_dict(out)["bound"] == "6"
+    assert len(calls) == 1
 
 
 def test_altsigma_defaults_to_identity(capsys, tmp_path):
