@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt_masks, vertices_of
+from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt_masks, restrict, vertices_of
 from .coloring import Coloring, first_clash
 from .kneser import kneser_graph
 from . import bounds
@@ -116,36 +116,23 @@ NeighborOutcome = Union[list[PermissibleSequence], Violation]
 class AuditContext:
     """Evaluation state for one (hypergraph, coloring, k, ordering) audit.
 
-    ``alt_value`` is the feasibility ceiling for the given ordering; it is
-    computed on demand via ``bounds.alt_sigma`` when not supplied.
+    ``alt_value``, the feasibility ceiling for the ordering (identity when
+    omitted), comes from ``bounds.alt_sigma``, which also rejects a
+    non-positive ``k`` and an ordering of the wrong length.
     """
 
-    def __init__(
-        self,
-        h: Hypergraph,
-        c: Coloring,
-        k: int,
-        order: LinearOrder | None = None,
-        alt_value: int | None = None,
-    ):
-        if k < 1:
-            raise ValueError(f"level k must be positive, got {k}")
+    def __init__(self, h: Hypergraph, c: Coloring, k: int, order: LinearOrder | None = None):
         if len(c.assignment) != len(h.edges):
             raise ValueError(
                 f"coloring has {len(c.assignment)} entries for {len(h.edges)} hyperedges"
             )
         if order is None:
             order = LinearOrder.identity(h.n)
-        if order.n != h.n:
-            raise ValueError("ordering length differs from vertex count")
         self.h = h
         self.c = c
         self.k = k
         self.order = order
-        if alt_value is None:
-            alt_value = bounds.alt_sigma(h, order, k).alt_value
-        self.alt_value = alt_value
-        self.palette_bound = h.n - alt_value + k - 2
+        self.alt_value = bounds.alt_sigma(h, order, k).alt_value
         self._vbit = tuple(1 << (v - 1) for v in order.perm)
         # (edge mask, (color, index)) from the highest color down, lowest
         # index first within a color (sorting is stable, also in reverse),
@@ -233,22 +220,19 @@ class AuditContext:
 
     def _monochromatic_survivors(self, reds: int, blues: int) -> Witness:
         """Lowest-index disjoint same-colored pair among the pair's survivors."""
-        rmask = self.vertex_mask(reds)
-        bmask = self.vertex_mask(blues)
-        survivors = [
-            i for i, e in enumerate(self.h.edges)
-            if e & ~rmask == 0 or e & ~bmask == 0
-        ]
-        for s, i in enumerate(survivors):
-            for j in survivors[s + 1:]:
-                if self.h.edges[i] & self.h.edges[j] == 0 and (
-                    self.c.assignment[i] == self.c.assignment[j]
-                ):
-                    return Witness(i, j, self.c.assignment[i], SignVector(self.n, reds, blues))
-        raise AuditAnomaly(
-            "survivors below the level jump contain no monochromatic disjoint pair; "
-            "was the supplied alternation ceiling computed for these inputs?"
+        context = SignVector(self.n, reds, blues)
+        sub = restrict(self.h, context, self.order)
+        colors = self.c.assignment
+        clash = first_clash(
+            kneser_graph(sub), Coloring(tuple(colors[i] for i in sub.origin), self.c.palette)
         )
+        if clash is None:
+            raise AuditAnomaly(
+                "survivors below the level jump contain no monochromatic disjoint pair, "
+                "so the ceiling from bounds.alt_sigma is wrong for these inputs"
+            )
+        a, b = (sub.origin[i] for i in clash)
+        return Witness(a, b, colors[a], context)
 
     @property
     def n(self) -> int:

@@ -52,14 +52,14 @@ def first_clash(g: SimpleGraph, c: Coloring) -> tuple[int, int] | None:
     """Lexicographically first adjacent pair (i, j), i < j, sharing a color."""
     if len(c.assignment) != g.vcount:
         raise ValueError(f"coloring has {len(c.assignment)} entries for {g.vcount} vertices")
-    for i in range(g.vcount):
-        m = g.rows[i] >> (i + 1)
-        j = i + 1
+    for i, row in enumerate(g.rows):
+        m = row >> (i + 1) << (i + 1)  # the neighbors after i
         while m:
-            if m & 1 and c.assignment[i] == c.assignment[j]:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            if c.assignment[i] == c.assignment[j]:
                 return i, j
-            m >>= 1
-            j += 1
     return None
 
 

@@ -14,7 +14,7 @@ value present.
 
 from __future__ import annotations
 
-from .core import Hypergraph, mask_of, vertex_cap, vertices_of
+from .core import Hypergraph, vertex_cap, vertices_of
 from .coloring import Coloring
 
 
@@ -57,15 +57,17 @@ def parse_hypergraph(text: str) -> Hypergraph:
     seen: set[int] = set()
     for number, body in lines:
         try:
-            ids = sorted({int(t) for t in body.split()})
+            ids = set(map(int, body.split()))
         except ValueError:
             raise ParseError(f"edge line is not whitespace-separated integers: {body!r}", number)
+        mask = 0
         for v in ids:
             if not 1 <= v <= n:
-                raise ParseError(f"vertex {v} outside 1..{n}", number)
-        mask = mask_of(ids)
+                bad = min(u for u in ids if not 1 <= u <= n)
+                raise ParseError(f"vertex {bad} outside 1..{n}", number)
+            mask |= 1 << (v - 1)
         if mask in seen:
-            raise ParseError(f"duplicate edge {tuple(ids)}", number)
+            raise ParseError(f"duplicate edge {vertices_of(mask)}", number)
         seen.add(mask)
         edges.append(mask)
     return Hypergraph(n, tuple(edges))

@@ -1,11 +1,13 @@
 """Signed levels, permissible chains, neighbor rules, and the audit walk."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from altermatic import (
+    AuditAnomaly,
     AuditContext,
     Coloring,
     Hypergraph,
@@ -29,7 +31,7 @@ from altermatic import (
     verify_witness,
 )
 from altermatic.reference import enumerate_audit_graph
-from helpers import all_sign_vectors, sub_vectors
+from helpers import all_sign_vectors, random_sign_vector, sub_vectors
 
 PAIRS4 = complete_uniform(4, 2)
 ONES4 = Coloring((1,) * 6, 1)
@@ -76,8 +78,7 @@ def test_level_low_band_example():
     ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
     assert ctx.alt_value == 2
     x = SignVector.from_sets(4, reds=[2])
-    lv = AuditContext(PAIRS4, optimal_coloring(PAIRS4), 1, alt_value=2).level(x.reds, x.blues)
-    assert lv == 2
+    assert ctx.level(x.reds, x.blues) == 2
 
 
 def test_level_sign_follows_earliest_position():
@@ -350,6 +351,52 @@ def test_audit_level_two_degenerate_palette():
     w = audit(h, ones, 2)
     assert isinstance(w, Witness)
     assert verify_witness(w, h, ones)
+    # {1, 3} and {2, 4}: the first disjoint pair among the survivors
+    assert (w.edge_a, w.edge_b, w.color, w.context.word()) == (1, 6, 1, "RBRB00")
+
+
+def brute_survivor_clash(h, c, order, reds, blues):
+    """(a, b) of the lowest-index disjoint same-colored pair of edges lying
+    inside the red or the blue vertices of a slot pair, or None."""
+    red_vs = {order.perm[p] for p in range(h.n) if reds >> p & 1}
+    blue_vs = {order.perm[p] for p in range(h.n) if blues >> p & 1}
+    sets = [set(e) for e in h.edge_sets()]
+    survivors = [i for i, e in enumerate(sets) if e <= red_vs or e <= blue_vs]
+    for s, a in enumerate(survivors):
+        for b in survivors[s + 1:]:
+            if not sets[a] & sets[b] and c.assignment[a] == c.assignment[b]:
+                return a, b
+    return None
+
+
+def test_survivor_clash_matches_brute_force():
+    rng = random.Random(71)
+    found = missed = 0
+    for trial in range(150):
+        n = rng.randint(2, 7)
+        hi = min(3, n)
+        avail = sum(math.comb(n, s) for s in range(1, hi + 1))
+        h = random_hypergraph(n, rng.randint(2, min(14, avail)), (1, hi), seed=72_000 + trial)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        order = LinearOrder(tuple(perm))
+        k = rng.choice((2, 3))
+        palette = rng.randint(1, k - 1)
+        c = Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
+        ctx = AuditContext(h, c, k, order)
+        for _ in range(5):
+            x = random_sign_vector(rng, n)
+            expected = brute_survivor_clash(h, c, order, x.reds, x.blues)
+            if expected is None:
+                with pytest.raises(AuditAnomaly, match="no monochromatic disjoint pair"):
+                    ctx._monochromatic_survivors(x.reds, x.blues)
+                missed += 1
+            else:
+                w = ctx._monochromatic_survivors(x.reds, x.blues)
+                a, b = expected
+                assert w == Witness(a, b, c.assignment[a], x), (trial, x)
+                found += 1
+    assert found > 100 and missed > 100
 
 
 def test_audit_random_instances_random_orderings():
@@ -455,7 +502,13 @@ def test_audit_context_alt_value_matches_bounds():
     order = LinearOrder((2, 1, 4, 3))
     ctx = AuditContext(PAIRS4, ONES4, 1, order)
     assert ctx.alt_value == alt_sigma(PAIRS4, order, 1).alt_value
-    assert ctx.palette_bound == 4 - ctx.alt_value + 1 - 2
+
+
+def test_audit_rejects_bad_level_and_ordering():
+    with pytest.raises(ValueError, match=r"^level k must be positive, got 0$"):
+        audit(PAIRS4, ONES4, 0)
+    with pytest.raises(ValueError, match=r"^ordering length differs from vertex count$"):
+        audit(PAIRS4, ONES4, 1, LinearOrder((2, 1, 3)))
 
 
 def test_witness_context_encloses_both_edges():

@@ -125,6 +125,17 @@ def test_decide_is_exact_at_every_budget(g):
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(small_graphs(), st.data())
+def test_first_clash_is_the_first_same_colored_edge(g, data):
+    palette = data.draw(st.integers(1, 3))
+    colors = data.draw(st.lists(st.integers(1, palette), min_size=g.vcount, max_size=g.vcount))
+    c = Coloring(tuple(colors), palette)
+    pairs = ((i, j) for i in range(g.vcount) for j in range(i + 1, g.vcount))
+    first = next((p for p in pairs if g.rows[p[0]] >> p[1] & 1 and colors[p[0]] == colors[p[1]]), None)
+    assert first_clash(g, c) == first
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(small_graphs())
 def test_greedy_color_count_is_an_upper_bound(g):
     # chi <= one DSATUR pass <= max degree + 1, as any greedy coloring is

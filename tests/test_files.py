@@ -45,6 +45,18 @@ def test_parse_vertex_out_of_range():
     assert err.value.line == 2
 
 
+def test_parse_edge_errors_name_the_lowest_bad_vertex_and_the_sorted_edge():
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph("n 3\n1 2\n9 2 -4 0 7\n")
+    assert str(err.value) == "line 3: vertex -4 outside 1..3"
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph("n 3\n2 5 4\n")
+    assert str(err.value) == "line 2: vertex 4 outside 1..3"
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph("n 5\n3 1 5\n# c\n5 3 1 3\n")
+    assert str(err.value) == "line 4: duplicate edge (1, 3, 5)"
+
+
 def test_parse_non_integer_tokens_name_their_line():
     with pytest.raises(ParseError) as err:
         parse_hypergraph("n x\n1 2\n")
