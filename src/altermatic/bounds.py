@@ -22,15 +22,18 @@ import random
 from dataclasses import dataclass
 from itertools import islice, permutations
 
-from .core import Hypergraph, LinearOrder, SignVector
+from .core import Hypergraph, LinearOrder, SignVector, vertices_of
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
 from .kneser import kneser_graph
 
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
-# orderings before twin reduction.
+# orderings before symmetry reduction.
 FACTORIAL_CAP = 8
 # Seeded shuffles ``seed_bound`` tries after the identity ordering.
 SEED_ORDERINGS = 128
+# Longest tail whose twin-sorted orders ``_ordering_stream`` lists once
+# and reuses, where twins are still unplaced but no automorphism is live.
+ARRANGED_TAIL = 4
 # Feasible words an ``_AltSearch`` keeps to refute threshold runs unwalked.
 REMEMBERED_WORDS = 4
 
@@ -283,6 +286,9 @@ class _AltSearch:
         if best < limit:
             best, limit, zero_first = best - 1, best, True
             walk(0, 0, 0, 0, 0, 0, 0)
+        # ``walk`` refers to itself; dropping that reference lets reference
+        # counting free it here instead of leaving a cycle for the collector
+        walk = None
         return (best, *best_sides)
 
 
@@ -345,9 +351,11 @@ def _twin_pairs(h: Hypergraph) -> tuple[tuple[int, int], ...]:
     is an equivalence relation, since (u w) = (u v)(v w)(u v), so each
     class is found by testing its least member against the larger
     unplaced vertices; the class of u then reads as the chain of pairs
-    starting at u.  Isolated vertices form one class.
+    starting at u.  Isolated vertices form one class.  Twins lie in
+    equally many edges, so only such pairs are tested.
     """
     edges = set(h.edges)
+    degree = [0, *(m.bit_count() for m in h.incidence)]
     pairs = []
     placed = set()
     for u in range(1, h.n + 1):
@@ -355,60 +363,287 @@ def _twin_pairs(h: Hypergraph) -> tuple[tuple[int, int], ...]:
             continue
         last = u
         for v in range(u + 1, h.n + 1):
+            if v in placed or degree[v] != degree[u]:
+                continue
             both = (1 << (u - 1)) | (1 << (v - 1))
             # the swap fixes the edges holding both or neither of u, v
-            if v not in placed and all(e ^ both in edges for e in edges if 0 < e & both < both):
+            if all(e ^ both in edges for e in edges if 0 < e & both < both):
                 pairs.append((last, v))
                 last = v
                 placed.add(v)
     return tuple(pairs)
 
 
-def _ordering_stream(n: int, twins: tuple[tuple[int, int], ...]):
-    """Lexicographic scan of orderings, one representative per reversal
-    pair and per arrangement of twin classes.
+def _twin_classes(n: int, twins: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
+    """The classes of ``twins`` (see ``_twin_pairs``), singletons
+    included, each in increasing order, ordered by least member."""
+    after = dict(twins)
+    later = set(after.values())
+    classes = []
+    for u in range(1, n + 1):
+        if u not in later:
+            c = [u]
+            while c[-1] in after:
+                c.append(after[c[-1]])
+            classes.append(tuple(c))
+    return classes
 
-    Reversing an ordering reverses every sign word without changing its
-    alternation count or its survivor sets, so an ordering and its reverse
-    always agree; the lexicographically smaller one stands for both.
 
-    For each pair (u, v) of ``twins`` (see ``_twin_pairs``) only orderings
-    listing u before v are generated, so each twin class appears in
-    increasing order.  Swapping two twins maps E(H) onto itself, so
-    orderings that differ by such swaps see the same slot hypergraph, up
-    to the numbering of its edges: their searches take the same branches
-    and return the same alt and witness word.
+def _class_automorphisms(
+    h: Hypergraph, twins: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of H, other than the identity, that map each twin
+    class onto a twin class in increasing order; g[v] is the image of
+    vertex v, and g[0] is 0.  ``twins`` is ``_twin_pairs(h)``.
 
-    Slots are filled left to right.  Each slot is offered, in increasing
-    order, every unplaced vertex that is the least unplaced member of its
-    class.  Once no class has two unplaced members, every order of the
-    rest is allowed, so the tail is ``permutations`` of the remaining
-    vertices, which keeps the stream in lexicographic order.  Without
-    twins that happens at the first slot, and the stream is the plain
-    reversal-filtered permutation scan.
+    An automorphism g maps twin classes onto twin classes, since
+    g (u v) g^-1 = (g(u) g(v)).  So the swaps within classes generate a
+    normal subgroup T of Aut(H), and each coset of T holds exactly one
+    automorphism that keeps every class in increasing order: these are
+    the coset representatives.  Each is fixed by where it sends each
+    class, so the search backtracks over class-to-class maps, class by
+    class in order of least member.
+
+    The co-degree of two vertices is the number of edges holding both; a
+    vertex's co-degree with itself is its degree.  Each class gets a key
+    that every automorphism keeps: first its size and the multiset of its
+    members' co-degrees, then, until the keys split no further, its key
+    with the multiset of (key, co-degree) over all vertices (colour
+    refinement).  A class is offered only classes of its key whose
+    members have, with the images of the vertices mapped so far, the
+    co-degrees its own members have with those vertices; and each edge
+    is checked as soon as all of its vertices are mapped.  On most
+    inputs the keys alone leave every class only itself, and the search
+    ends before it starts.
     """
-    before = {v: u for u, v in twins}
-    heads = {u for u, _ in twins}
+    n = h.n
+    classes = _twin_classes(n, twins)
+    if len(classes) == 1:
+        return ()
+    inc = (0, *h.incidence)
+    meet = [[(a & b).bit_count() for b in inc] for a in inc]
+    # keys as small ints, equal exactly when their refinement signatures are
+    labels: dict[tuple, int] = {}
+    keys = [labels.setdefault((len(c), *sorted(meet[c[0]])), len(labels)) for c in classes]
+    split = 0
+    while split < len(labels) < len(classes):
+        split = len(labels)
+        # entry 0 is no vertex: it adds the same pair to every signature
+        colour = [-1] * (n + 1)
+        for c, key in zip(classes, keys):
+            for v in c:
+                colour[v] = key
+        labels = {}
+        keys = [
+            labels.setdefault((key, *sorted(zip(colour, meet[c[0]]))), len(labels))
+            for c, key in zip(classes, keys)
+        ]
+    if len(labels) == len(classes):
+        return ()
+    # offers[i]: the lead bits of the classes that classes[i] may map onto
+    offers = [sum(1 << c[0] for c, other in zip(classes, keys) if other == key) for key in keys]
+    index = {v: i for i, c in enumerate(classes) for v in c}
+    # due[i]: the vertices of each edge whose last class is classes[i]
+    due = [[] for _ in classes]
+    for e in h.edges:
+        verts = vertices_of(e)
+        due[max(index[v] for v in verts)].append(verts)
+    # fits[y][m]: the vertex bits of the w with co-degree m with y
+    fits = [{} for _ in inc]
+    for y, row in enumerate(fits):
+        for w in range(1, n + 1):
+            row[meet[w][y]] = row.get(meet[w][y], 0) | 1 << w
+    edges = set(h.edges)
+    image = list(range(n + 1))
+    identity = tuple(image)
+    mapped: list[int] = []
+    found = []
 
-    def prefixes(prefix, rest, open_pairs):
-        # ``open_pairs``: pairs (u, v) of ``twins`` with u still in ``rest``
-        if not open_pairs:
-            yield prefix, rest
+    def extend(i: int, free: int) -> None:
+        # ``free``: the lead bits of the classes that are no image yet
+        if i == len(classes):
+            if tuple(image) != identity:
+                found.append(tuple(image))
             return
-        for i, v in enumerate(rest):
-            if before.get(v) not in rest:
-                yield from prefixes(prefix + (v,), rest[:i] + rest[i + 1 :], open_pairs - (v in heads))
+        members = classes[i]
+        # allowed[t]: the vertex bits that member t may map to
+        allowed = []
+        for u in members:
+            bits = -1
+            for x in mapped:
+                bits &= fits[image[x]].get(meet[u][x], 0)
+            allowed.append(bits)
+        leads = offers[i] & free & allowed[0]
+        while leads:
+            low = leads & -leads
+            leads ^= low
+            target = classes[index[low.bit_length() - 1]]
+            if not all(bits >> w & 1 for bits, w in zip(allowed, target)):
+                continue
+            for u, w in zip(members, target):
+                image[u] = w
+            if all(sum(1 << (image[v] - 1) for v in verts) in edges for verts in due[i]):
+                mapped.extend(members)
+                extend(i + 1, free ^ low)
+                del mapped[-len(members) :]
 
-    for prefix, rest in prefixes((), tuple(range(1, n + 1)), len(twins)):
-        if prefix:
-            first = prefix[0]
-            for tail in permutations(rest):
-                if first < tail[-1]:
-                    yield prefix + tail
-        else:
-            for p in permutations(rest):
+    extend(0, sum(1 << c[0] for c in classes))
+    return tuple(found)
+
+
+def _ordering_stream(
+    n: int, twins: tuple[tuple[int, int], ...], automorphisms: tuple[tuple[int, ...], ...] = ()
+):
+    """Lexicographic scan of orderings that holds the least ordering of
+    every orbit of Aut(H) x reversal, and few others.
+
+    An automorphism g of H maps an ordering sigma to g o sigma (slot j
+    holds g(sigma[j])), which sees the same slot hypergraph up to the
+    numbering of its edges.  Reversal reverses every sign word without
+    changing its alternation count or its survivor sets.  So the
+    orderings of one orbit all have the same alt and witness word, and an
+    ordering is never generated when one of its orbit comes before it:
+
+    - For each pair (u, v) of ``twins`` (see ``_twin_pairs``) only
+      orderings listing u before v are generated, so each twin class
+      appears in increasing order: that is the least way to fill the
+      positions of a class.
+    - ``automorphisms`` are the other coset representatives of the twin
+      swaps (see ``_class_automorphisms``).  Each g keeps every class in
+      increasing order, so g o sigma is twin-sorted too, and sigma is
+      dropped when g o sigma < sigma.  With the twin swaps this covers all
+      of Aut(H).  While slots are filled left to right, g stays live as
+      long as it fixes every placed vertex; a live g that maps the next
+      vertex lower drops the prefix, and one that maps it higher dies.
+    - An ordering is dropped when it ends lower than it starts, since its
+      reverse comes first, and when some g makes the twin-sorted
+      g o reverse(sigma) smaller.  Whether g can start lower, the same or
+      higher depends only on the first and the last vertex, so each such
+      pair is looked up once, and only the g that start the same are
+      compared in full.
+
+    Each slot is offered, in increasing order, every unplaced vertex that
+    is the least unplaced member of its class and that no live g maps
+    lower.  Once no g is live, the walk hands the tail over in one block.
+    When no class has two unplaced members, every order of the rest is
+    allowed, so the tail is ``permutations`` of the remaining vertices.
+    When at most ``ARRANGED_TAIL`` vertices remain, the tail runs over
+    their twin-sorted orders, listed once for each set of remaining
+    vertices; so a twin pair whose lower member comes late costs no walk
+    over the many short prefixes before it.  Both keep the stream in
+    lexicographic order.  Without twins or automorphisms the block starts
+    at the first slot, and the stream is the plain reversal-filtered
+    permutation scan.
+    """
+    # ``before[v]``: the bit of v's twin predecessor; ``opens[u]``: 1 when
+    # u heads a pair of ``twins``
+    before = [0] * (n + 1)
+    opens = [0] * (n + 1)
+    for u, v in twins:
+        before[v] = 1 << u
+        opens[u] = 1
+    # each automorphism as a ``bytes.translate`` table, and the twin class
+    # of each vertex, which only automorphisms ask for
+    tables = [bytes(g).ljust(256, b"\0") for g in automorphisms]
+    klass: list[tuple[int, ...]] = [()] * (n + 1)
+    for c in _twin_classes(n, twins) if tables else ():
+        for v in c:
+            klass[v] = c
+    rows: dict[int, list[tuple[bytes, ...] | None]] = {}
+
+    def ends(f):
+        # entry u, for orderings from f to u: None when a reverse image
+        # comes first, else the automorphisms whose reverse image starts
+        # at f; one row per first vertex, built when first asked for
+        row = rows.get(f)
+        if row is None:
+            row = rows[f] = [None] * (f + 1) + [()] * (n - f)
+            for u in range(f + 1, n + 1) if tables else ():
+                starts = [klass[g[u]][0] for g in tables]
+                row[u] = None if min(starts) < f else tuple(g for g, s in zip(tables, starts) if s == f)
+        return row
+
+    def beaten(perm, gs):
+        # whether some g in ``gs`` makes the twin-sorted g o reverse(perm)
+        # smaller than ``perm``
+        key = bytes(perm)
+        back = key[::-1]
+        for g in gs:
+            image = back.translate(g)
+            if twins:
+                # the j-th slot of a class takes its j-th member
+                taken = [0] * (n + 1)
+                ordered = bytearray()
+                for w in image:
+                    c = klass[w]
+                    ordered.append(c[taken[c[0]]])
+                    taken[c[0]] += 1
+                image = ordered
+            if image < key:
+                return True
+        return False
+
+    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def arranged(rest, bits):
+        # the orders of ``rest`` (vertex bits ``bits``) that list each twin
+        # class in increasing order, lexicographically
+        tails = memo.get(bits)
+        if tails is None:
+            tails = memo[bits] = (
+                tuple(
+                    (v,) + tail
+                    for i, v in enumerate(rest)
+                    if not before[v] & bits
+                    for tail in arranged(rest[:i] + rest[i + 1 :], bits ^ (1 << v))
+                )
+                if len(rest) > 1
+                else (rest,)
+            )
+        return tails
+
+    def blocks(prefix, rest, bits, open_pairs, live):
+        # (prefix, rest, tails), in lexicographic order of prefix + tail.
+        # ``bits``: the vertex bits of ``rest``; ``open_pairs``: pairs
+        # (u, v) of ``twins`` with u still in ``rest``; ``live``: the
+        # automorphisms that fix every vertex of ``prefix``
+        if not live:
+            if not open_pairs:
+                yield prefix, rest, permutations(rest)
+                return
+            if len(rest) <= ARRANGED_TAIL:
+                yield prefix, rest, arranged(rest, bits)
+                return
+        for i, v in enumerate(rest):
+            if before[v] & bits:
+                continue
+            kept = []
+            for g in live:
+                if g[v] < v:
+                    break
+                if g[v] == v:
+                    kept.append(g)
+            else:
+                yield from blocks(
+                    prefix + (v,), rest[:i] + rest[i + 1 :], bits ^ (1 << v), open_pairs - opens[v], kept
+                )
+
+    for prefix, rest, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, len(twins), tables):
+        if not prefix:
+            for p in tails:
                 # p[0] == p[-1] only when n = 1, whose one ordering is kept
                 if p[0] <= p[-1]:
+                    yield p
+            continue
+        last = ends(prefix[0])
+        if all(last[u] == () for u in rest):
+            yield from map(prefix.__add__, tails)
+            continue
+        for tail in tails:
+            gs = last[tail[-1]]
+            if gs is not None:
+                p = prefix + tail
+                if not gs or not beaten(p, gs):
                     yield p
 
 
@@ -438,12 +673,14 @@ def alt_min(
     Exhaustive mode (n at most ``FACTORIAL_CAP``) scans the orderings
     of ``_ordering_stream`` and reports the first one attaining the
     minimum: the lexicographically first minimiser over all n! orderings.
-    An ordering is never generated when its reverse, or an ordering
-    obtained by sorting twin vertices (``_twin_pairs``) within their
-    positions, comes earlier; either has the same alt and witness, and
-    the first minimiser is generated, because sorting the values within
-    fixed positions is lexicographically smallest and a minimiser's
-    reverse is a minimiser too.  So twin reduction changes no report.
+    An ordering is never generated when another of its orbit under
+    Aut(H) and reversal comes earlier (see ``_ordering_stream``).  Every
+    ordering of an orbit has the same alt and witness, so the orbit of
+    the first minimiser holds only minimisers, and it is the least of
+    them; so it is generated, and the reduction changes no report.  The
+    identity, the least ordering of all, is scanned before H is searched
+    for twins and automorphisms, so a scan that stops there pays for
+    neither.
 
     Sampled mode scans the identity plus ``samples`` seeded random
     orderings and is flagged as such: the result can overshoot the true
@@ -473,21 +710,26 @@ def alt_min(
             raise ValueError(
                 f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
             )
-        orderings = _ordering_stream(n, _twin_pairs(h))
-    else:
-        if samples < 1:
-            raise ValueError(f"sample count must be positive, got {samples}")
-        orderings = _sampled_orderings(n, samples, seed)
+    elif samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
 
+    # both scans start at the identity, so H is searched for symmetry only
+    # when the scan goes on past it
+    identity = tuple(range(1, n + 1))
+    best = (*search.run(identity), identity)
     floor = 0 if ceiling is None else max(0, n + k - 1 - ceiling)
-    best: tuple[int, SignVector, tuple[int, ...]] | None = None
-    for perm in orderings:
-        outcome = search.run(perm, threshold=None if best is None else best[0])
-        if outcome is not None:
-            best = (outcome[0], outcome[1], perm)
-            if best[0] <= floor:
-                break
-    assert best is not None
+    if best[0] > floor:
+        if samples is None:
+            twins = _twin_pairs(h)
+            orderings = _ordering_stream(n, twins, _class_automorphisms(h, twins))
+        else:
+            orderings = _sampled_orderings(n, samples, seed)
+        for perm in islice(orderings, 1, None):
+            outcome = search.run(perm, threshold=best[0])
+            if outcome is not None:
+                best = (*outcome, perm)
+                if best[0] <= floor:
+                    break
     return AltReport(best[0], best[1], LinearOrder(best[2]), k, mode)
 
 

@@ -1,7 +1,8 @@
 """Alternation searches, minimization over orderings, and the bound itself."""
 
+import gc
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from altermatic import (
     random_hypergraph,
     schrijver_hypergraph,
     verify_theorem,
+    vertices_of,
 )
 from altermatic import bounds, reference
 from altermatic import coloring as coloring_module, kneser as kneser_module
@@ -34,6 +36,10 @@ def small_instances(draw):
     edges = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=8))
     perm = draw(st.permutations(range(1, n + 1)))
     return Hypergraph(n, tuple(edges)), LinearOrder(tuple(perm)), draw(st.integers(1, 3))
+
+
+def _cycle(n):
+    return Hypergraph.from_edge_sets(n, [[v, v % n + 1] for v in range(1, n + 1)])
 
 
 def test_feasible_examples():
@@ -319,6 +325,10 @@ def test_alt_min_golden_reports():
         ("KG(8,3)", 1): (4, (1, 2, 3, 4, 5, 6, 7, 8), "0000RBRB"),
         ("SG(8,2)", 1): (3, (1, 2, 3, 4, 5, 6, 7, 8), "R00000BR"),
         ("C4+2", 1): (4, (1, 2, 4, 5, 3, 6), "0RBR0B"),
+        ("C7", 1): (4, (1, 2, 4, 6, 3, 5, 7), "0R00BRB"),
+        ("C7", 2): (5, (1, 2, 3, 5, 7, 4, 6), "0RBRB0R"),
+        ("C8", 1): (4, (1, 3, 5, 2, 7, 4, 6, 8), "000R0BRB"),
+        ("C8", 2): (5, (1, 2, 8, 5, 7, 4, 6, 3), "0RB00RBR"),
     }
     graphs = {
         "KG(6,2)": complete_uniform(6, 2),
@@ -328,6 +338,9 @@ def test_alt_min_golden_reports():
         "SG(8,2)": schrijver_hypergraph(8, 2),
         # a 4-cycle (twin classes {1,3} and {2,4}) and two isolated vertices
         "C4+2": Hypergraph.from_edge_sets(6, [[1, 2], [2, 3], [3, 4], [1, 4]]),
+        # cycles: dihedral symmetry and no twins
+        "C7": _cycle(7),
+        "C8": _cycle(8),
     }
     for (name, k), expected in cases.items():
         rep = alt_min(graphs[name], k)
@@ -401,8 +414,9 @@ def test_alt_min_is_first_minimiser_with_planted_twins(data):
 
 def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
     # machine-independent work count: every vertex of KG(m,r) is a twin of
-    # every other, so one ordering settles it; SG(7,2) has no twins and
-    # keeps the full reversal-filtered scan of 7!/2 orderings
+    # every other, so one ordering settles it; SG(7,2) has no twins, and
+    # its dihedral group with reversal leaves 192 of the 7!/2 = 2,520
+    # reversal-filtered orderings
     calls = []
     run = bounds._AltSearch.run
 
@@ -411,7 +425,7 @@ def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
         return run(self, perm, threshold)
 
     monkeypatch.setattr(bounds._AltSearch, "run", counting)
-    for h, expected in ((complete_uniform(8, 2), 1), (complete_uniform(8, 3), 1), (schrijver_hypergraph(7, 2), 2520)):
+    for h, expected in ((complete_uniform(8, 2), 1), (complete_uniform(8, 3), 1), (schrijver_hypergraph(7, 2), 192)):
         calls.clear()
         alt_min(h, 1)
         assert len(calls) == expected
@@ -442,7 +456,8 @@ def test_ceiling_changes_no_report(instance, seed):
 def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     # machine-independent work count.  SG(8,2) at k = 2 has bound 6 =
     # DSATUR at the identity, so one ordering settles it; at k = 1 its
-    # bound is chi - 1 and the full 8!/2 scan stays.  verify_theorem
+    # bound is chi - 1 and the full scan of its 1,320 orderings, one per
+    # orbit of its dihedral group with reversal, stays.  verify_theorem
     # passes no ceiling, since the floor assumes the theorem it checks.
     calls = []
     run = bounds._AltSearch.run
@@ -456,8 +471,8 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     ceiling = greedy_color_count(kneser_graph(h))
     for scan, expected in (
         (lambda: alt_min(h, 2, ceiling=ceiling), 1),
-        (lambda: alt_min(h, 1, ceiling=ceiling), 20160),
-        (lambda: verify_theorem(h, 2), 20160),
+        (lambda: alt_min(h, 1, ceiling=ceiling), 1320),
+        (lambda: verify_theorem(h, 2), 1320),
     ):
         calls.clear()
         scan()
@@ -501,7 +516,8 @@ def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
     # machine-independent work count: the orderings drawn from
     # ``permutations``.  Every vertex of KG(8,r) is a twin of every other,
     # so the stream places n - 1 of them and draws one; a filter over all
-    # orderings draws 8! = 40,320.  SG(7,2) has no twins: 7!/2 orderings.
+    # orderings draws 8! = 40,320.  SG(7,2) has no twins, and its 13 other
+    # automorphisms leave 192 of its 7!/2 = 2,520 orderings.
     drawn = 0
 
     def counting(items):
@@ -516,14 +532,143 @@ def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
         alt_min(h, 1)
         assert drawn <= h.n
     sg = schrijver_hypergraph(7, 2)
-    assert sum(1 for _ in bounds._ordering_stream(7, bounds._twin_pairs(sg))) == 2520
+    twins = bounds._twin_pairs(sg)
+    automorphisms = bounds._class_automorphisms(sg, twins)
+    assert len(automorphisms) == 13
+    assert sum(1 for _ in bounds._ordering_stream(7, twins, automorphisms)) == 192
+
+
+def test_ordering_stream_places_a_late_twin_pair_in_few_blocks(monkeypatch):
+    # machine-independent work count: the ``permutations`` calls.  With one
+    # twin pair at n = 8, the stream walks prefixes only while more than
+    # ARRANGED_TAIL = 4 vertices remain: one call for each prefix of up to
+    # three of the six other vertices, 1 + 6 + 30 + 120 = 157, followed by
+    # the pair's lower member.  A walk on to that member would make 1,957.
+    calls = 0
+
+    def counting(items):
+        nonlocal calls
+        calls += 1
+        return permutations(items)
+
+    monkeypatch.setattr(bounds, "permutations", counting)
+    for twins in (((1, 2),), ((7, 8),)):
+        calls = 0
+        assert sum(1 for _ in bounds._ordering_stream(8, twins)) == 10440
+        assert calls == 157
+
+
+def _brute_automorphisms(h):
+    """Aut(H) by brute force, each g a tuple with g[v] the image of v and g[0] = 0."""
+    edges = set(h.edges)
+    group = []
+    for images in permutations(range(1, h.n + 1)):
+        g = (0, *images)
+        if all(mask_of(g[v] for v in vertices_of(e)) in edges for e in h.edges):
+            group.append(g)
+    return group
+
+
+def _brute_leaders(h):
+    """The lexicographically least ordering of each orbit of Aut(H) x reversal."""
+    group = _brute_automorphisms(h)
+    seen, leaders = set(), []
+    for p in permutations(range(1, h.n + 1)):
+        if p not in seen:
+            leaders.append(p)
+            for g in group:
+                image = tuple(g[v] for v in p)
+                seen.update((image, image[::-1]))
+    return leaders
+
+
+@st.composite
+def symmetric_instances(draw):
+    """(h, k): n <= 6 and k in 1..3; H is random, a cycle or disjoint
+    copies of one small hypergraph, the last two with relabelled vertices."""
+    kind = draw(st.sampled_from(["random", "cycle", "copies"]))
+    if kind == "random":
+        n = draw(st.integers(1, 6))
+        edges = draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, min_size=1, max_size=8))
+    else:
+        if kind == "cycle":
+            n = draw(st.integers(3, 6))
+            edges = _cycle(n).edges
+        else:
+            size = draw(st.integers(1, 3))
+            copies = draw(st.integers(2, 6 // size))
+            n = size * copies
+            base = draw(st.lists(st.integers(1, (1 << size) - 1), unique=True, min_size=1, max_size=4))
+            edges = [e << (c * size) for c in range(copies) for e in base]
+        label = (0, *draw(st.permutations(range(1, n + 1))))
+        edges = [mask_of(label[v] for v in vertices_of(e)) for e in edges]
+    return Hypergraph(n, tuple(edges)), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(symmetric_instances())
+def test_alt_min_is_first_minimiser_under_symmetry(instance):
+    # oracle: alt_sigma under all n! orderings; the report is the first
+    # minimiser, with its own witness
+    h, k = instance
+    orderings = permutations(range(1, h.n + 1))
+    alt_value, sigma = min((alt_sigma(h, LinearOrder(p), k).alt_value, p) for p in orderings)
+    rep = alt_min(h, k)
+    assert (rep.alt_value, rep.sigma.perm) == (alt_value, sigma)
+    assert rep.witness == alt_sigma(h, rep.sigma, k).witness
+
+
+def _twin_sorted(p, classes):
+    """``p`` with the members of each class sorted within their slots."""
+    q = list(p)
+    for c in classes:
+        for slot, v in zip([i for i, w in enumerate(p) if w in c], c):
+            q[slot] = v
+    return tuple(q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(symmetric_instances())
+def test_ordering_stream_holds_every_orbit_leader(instance):
+    # oracles: Aut(H) and its orbit leaders by brute force.  The class
+    # automorphisms are the automorphisms other than the identity that
+    # keep every twin class in increasing order.  The stream increases
+    # strictly and holds every leader; without twins it is exactly the
+    # leaders.  It is the twin stream without each ordering that some
+    # class automorphism g maps lower, alone or after reversal and
+    # sorting twins.
+    h, _ = instance
+    twins = bounds._twin_pairs(h)
+    automorphisms = bounds._class_automorphisms(h, twins)
+    classes = bounds._twin_classes(h.n, twins)
+    identity = tuple(range(h.n + 1))
+    assert len(set(automorphisms)) == len(automorphisms)
+    assert set(automorphisms) == {
+        g
+        for g in _brute_automorphisms(h)
+        if g != identity and all(g[u] < g[v] for c in classes for u, v in zip(c, c[1:]))
+    }
+    stream = list(bounds._ordering_stream(h.n, twins, automorphisms))
+    assert all(p < q for p, q in zip(stream, stream[1:]))
+    leaders = _brute_leaders(h)
+    assert set(leaders) <= set(stream)
+    if not twins:
+        assert stream == leaders
+    assert stream == [
+        p
+        for p in _filtered_stream(h.n, twins)
+        if all(
+            tuple(g[v] for v in p) > p and _twin_sorted(tuple(g[v] for v in reversed(p)), classes) >= p
+            for g in automorphisms
+        )
+    ]
 
 
 def test_remembered_words_spare_most_walks(monkeypatch):
     # machine-independent work count: a word that reached the minimum under
     # one ordering reaches it under most of the next ones, so few of the
-    # 8!/2 or 7!/2 orderings scanned get walked (39, 28 and 4 at the time
-    # of writing), and the search holds at most REMEMBERED_WORDS words; a
+    # 1,320 or 192 orderings scanned get walked (4, 4 and 3 at the time of
+    # writing), and the search holds at most REMEMBERED_WORDS words; a
     # sampled scan keeps none
     walks, stores, sizes = [], [], []
     walk, remember = bounds._AltSearch._walk, bounds._AltSearch._remember
@@ -540,7 +685,7 @@ def test_remembered_words_spare_most_walks(monkeypatch):
     monkeypatch.setattr(bounds._AltSearch, "_walk", counting_walk)
     monkeypatch.setattr(bounds._AltSearch, "_remember", counting_remember)
     sg82, sg72 = schrijver_hypergraph(8, 2), schrijver_hypergraph(7, 2)
-    for h, k, ceiling in ((sg82, 1, 50), (sg72, 1, 36), (sg82, 2, 6)):
+    for h, k, ceiling in ((sg82, 1, 8), (sg72, 1, 8), (sg82, 2, 6)):
         walks.clear()
         alt_min(h, k)
         assert len(walks) <= ceiling
@@ -548,6 +693,23 @@ def test_remembered_words_spare_most_walks(monkeypatch):
     stores.clear()
     alt_min(random_hypergraph(20, 60, (2, 4), 5), 1, samples=300)
     assert stores == []
+
+
+def test_walks_leave_no_reference_cycles():
+    # each walk frees its recursive closure by reference counting; a cycle
+    # left per walk made the collector run every few requests
+    h = schrijver_hypergraph(8, 2)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in (1, 2):
+            for p in islice(permutations(range(1, 9)), 40):
+                alt_sigma(h, LinearOrder(p), k)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sampled_mode_bounds_exhaustive():
