@@ -344,57 +344,40 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
     return best, level, proof
 
 
-def _twin_pairs(h: Hypergraph) -> tuple[tuple[int, int], ...]:
-    """Pairs (u, v) of twins, v the next larger member of u's twin class.
+def _twin_classes(h: Hypergraph) -> list[tuple[int, ...]]:
+    """The twin classes of H, singletons included, each in increasing
+    order, ordered by least member.
 
     u and v are twins when swapping them maps E(H) onto itself.  Twinship
     is an equivalence relation, since (u w) = (u v)(v w)(u v), so each
     class is found by testing its least member against the larger
-    unplaced vertices; the class of u then reads as the chain of pairs
-    starting at u.  Isolated vertices form one class.  Twins lie in
-    equally many edges, so only such pairs are tested.
+    vertices of no class yet.  Isolated vertices form one class.  Twins
+    lie in equally many edges, so only such pairs are tested.
     """
     edges = set(h.edges)
     degree = [0, *(m.bit_count() for m in h.incidence)]
-    pairs = []
+    classes = []
     placed = set()
     for u in range(1, h.n + 1):
         if u in placed:
             continue
-        last = u
+        c = [u]
         for v in range(u + 1, h.n + 1):
             if v in placed or degree[v] != degree[u]:
                 continue
             both = (1 << (u - 1)) | (1 << (v - 1))
             # the swap fixes the edges holding both or neither of u, v
             if all(e ^ both in edges for e in edges if 0 < e & both < both):
-                pairs.append((last, v))
-                last = v
+                c.append(v)
                 placed.add(v)
-    return tuple(pairs)
-
-
-def _twin_classes(n: int, twins: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
-    """The classes of ``twins`` (see ``_twin_pairs``), singletons
-    included, each in increasing order, ordered by least member."""
-    after = dict(twins)
-    later = set(after.values())
-    classes = []
-    for u in range(1, n + 1):
-        if u not in later:
-            c = [u]
-            while c[-1] in after:
-                c.append(after[c[-1]])
-            classes.append(tuple(c))
+        classes.append(tuple(c))
     return classes
 
 
-def _class_automorphisms(
-    h: Hypergraph, twins: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], ...]:
+def _class_automorphisms(h: Hypergraph, classes: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of H, other than the identity, that map each twin
     class onto a twin class in increasing order; g[v] is the image of
-    vertex v, and g[0] is 0.  ``twins`` is ``_twin_pairs(h)``.
+    vertex v, and g[0] is 0.  ``classes`` is ``_twin_classes(h)``.
 
     An automorphism g maps twin classes onto twin classes, since
     g (u v) g^-1 = (g(u) g(v)).  So the swaps within classes generate a
@@ -417,7 +400,6 @@ def _class_automorphisms(
     ends before it starts.
     """
     n = h.n
-    classes = _twin_classes(n, twins)
     if len(classes) == 1:
         return ()
     inc = (0, *h.incidence)
@@ -488,11 +470,13 @@ def _class_automorphisms(
                 del mapped[-len(members) :]
 
     extend(0, sum(1 << c[0] for c in classes))
+    # ``extend`` refers to itself; see ``_AltSearch._walk``
+    extend = None
     return tuple(found)
 
 
 def _ordering_stream(
-    n: int, twins: tuple[tuple[int, int], ...], automorphisms: tuple[tuple[int, ...], ...] = ()
+    n: int, classes: list[tuple[int, ...]], automorphisms: tuple[tuple[int, ...], ...] = ()
 ):
     """Lexicographic scan of orderings that holds the least ordering of
     every orbit of Aut(H) x reversal, and few others.
@@ -504,10 +488,9 @@ def _ordering_stream(
     orderings of one orbit all have the same alt and witness word, and an
     ordering is never generated when one of its orbit comes before it:
 
-    - For each pair (u, v) of ``twins`` (see ``_twin_pairs``) only
-      orderings listing u before v are generated, so each twin class
-      appears in increasing order: that is the least way to fill the
-      positions of a class.
+    - Only orderings listing each of the twin ``classes`` (see
+      ``_twin_classes``) in increasing order are generated: that is the
+      least way to fill the positions of a class.
     - ``automorphisms`` are the other coset representatives of the twin
       swaps (see ``_class_automorphisms``).  Each g keeps every class in
       increasing order, so g o sigma is twin-sorted too, and sigma is
@@ -535,20 +518,19 @@ def _ordering_stream(
     at the first slot, and the stream is the plain reversal-filtered
     permutation scan.
     """
-    # ``before[v]``: the bit of v's twin predecessor; ``opens[u]``: 1 when
-    # u heads a pair of ``twins``
+    # ``before[v]``: the bit of v's predecessor in its class; ``klass[v]``:
+    # the class of v; ``heads``: the bits of the vertices with a successor
     before = [0] * (n + 1)
-    opens = [0] * (n + 1)
-    for u, v in twins:
-        before[v] = 1 << u
-        opens[u] = 1
-    # each automorphism as a ``bytes.translate`` table, and the twin class
-    # of each vertex, which only automorphisms ask for
-    tables = [bytes(g).ljust(256, b"\0") for g in automorphisms]
     klass: list[tuple[int, ...]] = [()] * (n + 1)
-    for c in _twin_classes(n, twins) if tables else ():
+    heads = 0
+    for c in classes:
+        for u, v in zip(c, c[1:]):
+            before[v] = 1 << u
+            heads |= 1 << u
         for v in c:
             klass[v] = c
+    # each automorphism as a ``bytes.translate`` table
+    tables = [bytes(g).ljust(256, b"\0") for g in automorphisms]
     rows: dict[int, list[tuple[bytes, ...] | None]] = {}
 
     def ends(f):
@@ -570,7 +552,7 @@ def _ordering_stream(
         back = key[::-1]
         for g in gs:
             image = back.translate(g)
-            if twins:
+            if len(classes) < n:
                 # the j-th slot of a class takes its j-th member
                 taken = [0] * (n + 1)
                 ordered = bytearray()
@@ -602,13 +584,14 @@ def _ordering_stream(
             )
         return tails
 
-    def blocks(prefix, rest, bits, open_pairs, live):
+    def blocks(prefix, rest, bits, live):
         # (prefix, rest, tails), in lexicographic order of prefix + tail.
-        # ``bits``: the vertex bits of ``rest``; ``open_pairs``: pairs
-        # (u, v) of ``twins`` with u still in ``rest``; ``live``: the
-        # automorphisms that fix every vertex of ``prefix``
+        # ``bits``: the vertex bits of ``rest``; ``live``: the automorphisms
+        # that fix every vertex of ``prefix``.  Classes are placed in
+        # increasing order, so a class has two members in ``rest`` exactly
+        # when a vertex of ``heads`` is in ``rest``.
         if not live:
-            if not open_pairs:
+            if not heads & bits:
                 yield prefix, rest, permutations(rest)
                 return
             if len(rest) <= ARRANGED_TAIL:
@@ -624,27 +607,31 @@ def _ordering_stream(
                 if g[v] == v:
                     kept.append(g)
             else:
-                yield from blocks(
-                    prefix + (v,), rest[:i] + rest[i + 1 :], bits ^ (1 << v), open_pairs - opens[v], kept
-                )
+                yield from blocks(prefix + (v,), rest[:i] + rest[i + 1 :], bits ^ (1 << v), kept)
 
-    for prefix, rest, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, len(twins), tables):
-        if not prefix:
-            for p in tails:
-                # p[0] == p[-1] only when n = 1, whose one ordering is kept
-                if p[0] <= p[-1]:
-                    yield p
-            continue
-        last = ends(prefix[0])
-        if all(last[u] == () for u in rest):
-            yield from map(prefix.__add__, tails)
-            continue
-        for tail in tails:
-            gs = last[tail[-1]]
-            if gs is not None:
-                p = prefix + tail
-                if not gs or not beaten(p, gs):
-                    yield p
+    try:
+        for prefix, rest, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, tables):
+            if not prefix:
+                for p in tails:
+                    # p[0] == p[-1] only when n = 1, whose one ordering is kept
+                    if p[0] <= p[-1]:
+                        yield p
+                continue
+            last = ends(prefix[0])
+            if all(last[u] == () for u in rest):
+                yield from map(prefix.__add__, tails)
+                continue
+            for tail in tails:
+                gs = last[tail[-1]]
+                if gs is not None:
+                    p = prefix + tail
+                    if not gs or not beaten(p, gs):
+                        yield p
+    finally:
+        # ``blocks`` and ``arranged`` refer to themselves; dropping them
+        # here, also when the scan stops early and drops the stream, lets
+        # reference counting free them (see ``_AltSearch._walk``)
+        blocks = arranged = None
 
 
 def _sampled_orderings(n: int, samples: int, seed: int):
@@ -720,8 +707,8 @@ def alt_min(
     floor = 0 if ceiling is None else max(0, n + k - 1 - ceiling)
     if best[0] > floor:
         if samples is None:
-            twins = _twin_pairs(h)
-            orderings = _ordering_stream(n, twins, _class_automorphisms(h, twins))
+            classes = _twin_classes(h)
+            orderings = _ordering_stream(n, classes, _class_automorphisms(h, classes))
         else:
             orderings = _sampled_orderings(n, samples, seed)
         for perm in islice(orderings, 1, None):

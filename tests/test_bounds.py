@@ -479,18 +479,22 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
         assert len(calls) == expected
 
 
-def _filtered_stream(n, twins):
+def _filtered_stream(n, classes):
     # oracle: every permutation, kept when it precedes its reverse and
-    # lists each twin pair (u, v) with u first
+    # lists each class in increasing order
     stream = (p for p in permutations(range(1, n + 1)) if n == 1 or p[0] < p[-1])
-    for u, v in twins:
-        stream = filter(lambda p, u=u, v=v: p.index(u) < p.index(v), stream)
+    for c in classes:
+        for u, v in zip(c, c[1:]):
+            stream = filter(lambda p, u=u, v=v: p.index(u) < p.index(v), stream)
     return list(stream)
 
 
-def _chained_pairs(classes):
-    # the twin pairs of ``_twin_pairs``: each class as a chain in increasing order
-    return tuple(pair for c in classes for pair in zip(sorted(c), sorted(c)[1:]))
+def _with_singletons(n, classes):
+    # the shape of ``_twin_classes``: ``classes`` and a singleton for each
+    # other vertex, each in increasing order, ordered by least member
+    placed = {v for c in classes for v in c}
+    singletons = [(v,) for v in range(1, n + 1) if v not in placed]
+    return sorted([tuple(sorted(c)) for c in classes if c] + singletons)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
@@ -498,18 +502,18 @@ def _chained_pairs(classes):
 def test_ordering_stream_equals_filtered_scan(data):
     n = data.draw(st.integers(1, 7))
     labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    classes = [[v for v in range(1, n + 1) if labels[v - 1] == c] for c in range(n)]
-    twins = _chained_pairs(classes)
-    assert list(bounds._ordering_stream(n, twins)) == _filtered_stream(n, twins)
+    classes = _with_singletons(n, [[v for v in range(1, n + 1) if labels[v - 1] == c] for c in range(n)])
+    assert list(bounds._ordering_stream(n, classes)) == _filtered_stream(n, classes)
 
 
 @pytest.mark.parametrize(
-    "twins",
-    [((1, 2),), ((7, 8),), ((1, 8),), _chained_pairs([range(1, 9)]), ()],
+    "classes",
+    [[(1, 2)], [(7, 8)], [(1, 8)], [tuple(range(1, 9))], []],
     ids=["1-2", "7-8", "1-8", "all", "none"],
 )
-def test_ordering_stream_equals_filtered_scan_at_cap(twins):
-    assert list(bounds._ordering_stream(8, twins)) == _filtered_stream(8, twins)
+def test_ordering_stream_equals_filtered_scan_at_cap(classes):
+    classes = _with_singletons(8, classes)
+    assert list(bounds._ordering_stream(8, classes)) == _filtered_stream(8, classes)
 
 
 def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
@@ -532,10 +536,10 @@ def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
         alt_min(h, 1)
         assert drawn <= h.n
     sg = schrijver_hypergraph(7, 2)
-    twins = bounds._twin_pairs(sg)
-    automorphisms = bounds._class_automorphisms(sg, twins)
+    classes = bounds._twin_classes(sg)
+    automorphisms = bounds._class_automorphisms(sg, classes)
     assert len(automorphisms) == 13
-    assert sum(1 for _ in bounds._ordering_stream(7, twins, automorphisms)) == 192
+    assert sum(1 for _ in bounds._ordering_stream(7, classes, automorphisms)) == 192
 
 
 def test_ordering_stream_places_a_late_twin_pair_in_few_blocks(monkeypatch):
@@ -552,9 +556,9 @@ def test_ordering_stream_places_a_late_twin_pair_in_few_blocks(monkeypatch):
         return permutations(items)
 
     monkeypatch.setattr(bounds, "permutations", counting)
-    for twins in (((1, 2),), ((7, 8),)):
+    for pair in ((1, 2), (7, 8)):
         calls = 0
-        assert sum(1 for _ in bounds._ordering_stream(8, twins)) == 10440
+        assert sum(1 for _ in bounds._ordering_stream(8, _with_singletons(8, [pair]))) == 10440
         assert calls == 157
 
 
@@ -618,6 +622,33 @@ def test_alt_min_is_first_minimiser_under_symmetry(instance):
     assert rep.witness == alt_sigma(h, rep.sigma, k).witness
 
 
+def _brute_twin_classes(h):
+    """For each vertex u, the v whose swap with u maps E(H) onto itself,
+    each such set once, ordered by least member."""
+    edges = set(h.edges)
+
+    def twins(u, v):
+        swap = {u: v, v: u}
+        return {mask_of(swap.get(w, w) for w in vertices_of(e)) for e in edges} == edges
+
+    return sorted({tuple(v for v in range(1, h.n + 1) if twins(u, v)) for u in range(1, h.n + 1)})
+
+
+@st.composite
+def sparse_instances(draw):
+    """H with n <= 7 and at most 6 edges, so some vertices are often isolated."""
+    n = draw(st.integers(1, 7))
+    return Hypergraph(n, tuple(draw(st.lists(st.integers(1, (1 << n) - 1), unique=True, max_size=6))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.one_of(symmetric_instances().map(lambda instance: instance[0]), sparse_instances()))
+def test_twin_classes_match_the_definition(h):
+    # oracle: u and v are twins when swapping them maps E(H) onto itself,
+    # tested for every pair; isolated vertices are twins of each other
+    assert bounds._twin_classes(h) == _brute_twin_classes(h)
+
+
 def _twin_sorted(p, classes):
     """``p`` with the members of each class sorted within their slots."""
     q = list(p)
@@ -638,9 +669,8 @@ def test_ordering_stream_holds_every_orbit_leader(instance):
     # class automorphism g maps lower, alone or after reversal and
     # sorting twins.
     h, _ = instance
-    twins = bounds._twin_pairs(h)
-    automorphisms = bounds._class_automorphisms(h, twins)
-    classes = bounds._twin_classes(h.n, twins)
+    classes = bounds._twin_classes(h)
+    automorphisms = bounds._class_automorphisms(h, classes)
     identity = tuple(range(h.n + 1))
     assert len(set(automorphisms)) == len(automorphisms)
     assert set(automorphisms) == {
@@ -648,15 +678,15 @@ def test_ordering_stream_holds_every_orbit_leader(instance):
         for g in _brute_automorphisms(h)
         if g != identity and all(g[u] < g[v] for c in classes for u, v in zip(c, c[1:]))
     }
-    stream = list(bounds._ordering_stream(h.n, twins, automorphisms))
+    stream = list(bounds._ordering_stream(h.n, classes, automorphisms))
     assert all(p < q for p, q in zip(stream, stream[1:]))
     leaders = _brute_leaders(h)
     assert set(leaders) <= set(stream)
-    if not twins:
+    if len(classes) == h.n:
         assert stream == leaders
     assert stream == [
         p
-        for p in _filtered_stream(h.n, twins)
+        for p in _filtered_stream(h.n, classes)
         if all(
             tuple(g[v] for v in p) > p and _twin_sorted(tuple(g[v] for v in reversed(p)), classes) >= p
             for g in automorphisms
@@ -696,9 +726,13 @@ def test_remembered_words_spare_most_walks(monkeypatch):
 
 
 def test_walks_leave_no_reference_cycles():
-    # each walk frees its recursive closure by reference counting; a cycle
-    # left per walk made the collector run every few requests
+    # each walk, ordering stream and automorphism search frees its recursive
+    # closures by reference counting; a cycle left per walk made the
+    # collector run every few requests.  The last exhaustive scan input
+    # has the twins 7, 8 and the reflection 1-6, 2-5, 3-4.
     h = schrijver_hypergraph(8, 2)
+    pairs = [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [6, 8], [1, 7], [1, 8]]
+    scanned = (random_hypergraph(7, 20, (2, 4), 3), h, Hypergraph.from_edge_sets(8, pairs))
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
@@ -707,6 +741,10 @@ def test_walks_leave_no_reference_cycles():
             for p in islice(permutations(range(1, 9)), 40):
                 alt_sigma(h, LinearOrder(p), k)
         assert gc.collect() == 0
+        for g in scanned:
+            for _ in range(5):
+                alt_min(g, 1)
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
