@@ -389,13 +389,11 @@ def _class_automorphisms(h: Hypergraph, classes: list[tuple[int, ...]]) -> tuple
 
     The co-degree of two vertices is the number of edges holding both; a
     vertex's co-degree with itself is its degree.  Each class gets a key
-    that every automorphism keeps: first its size and the multiset of its
-    members' co-degrees, then, until the keys split no further, its key
-    with the multiset of (key, co-degree) over all vertices (colour
-    refinement).  A class is offered only classes of its key whose
-    members have, with the images of the vertices mapped so far, the
-    co-degrees its own members have with those vertices; and each edge
-    is checked as soon as all of its vertices are mapped.  On most
+    that every automorphism keeps: its size and the multiset of its
+    members' co-degrees.  A class is offered only classes of its key
+    whose members have, with the images of the vertices mapped so far,
+    the co-degrees its own members have with those vertices; and each
+    edge is checked as soon as all of its vertices are mapped.  On most
     inputs the keys alone leave every class only itself, and the search
     ends before it starts.
     """
@@ -404,23 +402,8 @@ def _class_automorphisms(h: Hypergraph, classes: list[tuple[int, ...]]) -> tuple
         return ()
     inc = (0, *h.incidence)
     meet = [[(a & b).bit_count() for b in inc] for a in inc]
-    # keys as small ints, equal exactly when their refinement signatures are
-    labels: dict[tuple, int] = {}
-    keys = [labels.setdefault((len(c), *sorted(meet[c[0]])), len(labels)) for c in classes]
-    split = 0
-    while split < len(labels) < len(classes):
-        split = len(labels)
-        # entry 0 is no vertex: it adds the same pair to every signature
-        colour = [-1] * (n + 1)
-        for c, key in zip(classes, keys):
-            for v in c:
-                colour[v] = key
-        labels = {}
-        keys = [
-            labels.setdefault((key, *sorted(zip(colour, meet[c[0]]))), len(labels))
-            for c, key in zip(classes, keys)
-        ]
-    if len(labels) == len(classes):
+    keys = [(len(c), *sorted(meet[c[0]])) for c in classes]
+    if len(set(keys)) == len(classes):
         return ()
     # offers[i]: the lead bits of the classes that classes[i] may map onto
     offers = [sum(1 << c[0] for c, other in zip(classes, keys) if other == key) for key in keys]
@@ -479,14 +462,15 @@ def _ordering_stream(
     n: int, classes: list[tuple[int, ...]], automorphisms: tuple[tuple[int, ...], ...] = ()
 ):
     """Lexicographic scan of orderings that holds the least ordering of
-    every orbit of Aut(H) x reversal, and few others.
+    every orbit of Aut(H) x reversal, and some others.
 
     An automorphism g of H maps an ordering sigma to g o sigma (slot j
     holds g(sigma[j])), which sees the same slot hypergraph up to the
     numbering of its edges.  Reversal reverses every sign word without
     changing its alternation count or its survivor sets.  So the
-    orderings of one orbit all have the same alt and witness word, and an
-    ordering is never generated when one of its orbit comes before it:
+    orderings of one orbit all have the same alt and witness word.  The
+    least ordering of every orbit is generated; an ordering is dropped
+    only when one of its orbit comes before it:
 
     - Only orderings listing each of the twin ``classes`` (see
       ``_twin_classes``) in increasing order are generated: that is the
@@ -500,10 +484,11 @@ def _ordering_stream(
       vertex lower drops the prefix, and one that maps it higher dies.
     - An ordering is dropped when it ends lower than it starts, since its
       reverse comes first, and when some g makes the twin-sorted
-      g o reverse(sigma) smaller.  Whether g can start lower, the same or
-      higher depends only on the first and the last vertex, so each such
-      pair is looked up once, and only the g that start the same are
-      compared in full.
+      g o reverse(sigma) start lower.  Both depend only on the first and
+      the last vertex, so each such pair is looked up once.  A reverse
+      image that starts at the same vertex is not compared further, so
+      the stream also holds some orderings that are not the least of
+      their orbit.
 
     Each slot is offered, in increasing order, every unplaced vertex that
     is the least unplaced member of its class and that no live g maps
@@ -518,52 +503,27 @@ def _ordering_stream(
     at the first slot, and the stream is the plain reversal-filtered
     permutation scan.
     """
-    # ``before[v]``: the bit of v's predecessor in its class; ``klass[v]``:
-    # the class of v; ``heads``: the bits of the vertices with a successor
+    # ``before[v]``: the bit of v's predecessor in its class; ``lead[v]``:
+    # the least member of v's class, where a twin-sorted ordering that
+    # starts at v starts; ``heads``: the bits of the vertices with a successor
     before = [0] * (n + 1)
-    klass: list[tuple[int, ...]] = [()] * (n + 1)
+    lead = [0] * (n + 1)
     heads = 0
     for c in classes:
         for u, v in zip(c, c[1:]):
             before[v] = 1 << u
             heads |= 1 << u
         for v in c:
-            klass[v] = c
-    # each automorphism as a ``bytes.translate`` table
-    tables = [bytes(g).ljust(256, b"\0") for g in automorphisms]
-    rows: dict[int, list[tuple[bytes, ...] | None]] = {}
+            lead[v] = c[0]
+    rows: dict[int, list[bool]] = {}
 
     def ends(f):
-        # entry u, for orderings from f to u: None when a reverse image
-        # comes first, else the automorphisms whose reverse image starts
-        # at f; one row per first vertex, built when first asked for
+        # entry u: whether to keep the orderings from f to u; one row per
+        # first vertex, built when first asked for
         row = rows.get(f)
         if row is None:
-            row = rows[f] = [None] * (f + 1) + [()] * (n - f)
-            for u in range(f + 1, n + 1) if tables else ():
-                starts = [klass[g[u]][0] for g in tables]
-                row[u] = None if min(starts) < f else tuple(g for g, s in zip(tables, starts) if s == f)
+            row = rows[f] = [u > f and all(lead[g[u]] >= f for g in automorphisms) for u in range(n + 1)]
         return row
-
-    def beaten(perm, gs):
-        # whether some g in ``gs`` makes the twin-sorted g o reverse(perm)
-        # smaller than ``perm``
-        key = bytes(perm)
-        back = key[::-1]
-        for g in gs:
-            image = back.translate(g)
-            if len(classes) < n:
-                # the j-th slot of a class takes its j-th member
-                taken = [0] * (n + 1)
-                ordered = bytearray()
-                for w in image:
-                    c = klass[w]
-                    ordered.append(c[taken[c[0]]])
-                    taken[c[0]] += 1
-                image = ordered
-            if image < key:
-                return True
-        return False
 
     memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -610,7 +570,7 @@ def _ordering_stream(
                 yield from blocks(prefix + (v,), rest[:i] + rest[i + 1 :], bits ^ (1 << v), kept)
 
     try:
-        for prefix, rest, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, tables):
+        for prefix, rest, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, automorphisms):
             if not prefix:
                 for p in tails:
                     # p[0] == p[-1] only when n = 1, whose one ordering is kept
@@ -618,15 +578,12 @@ def _ordering_stream(
                         yield p
                 continue
             last = ends(prefix[0])
-            if all(last[u] == () for u in rest):
+            if all(last[u] for u in rest):
                 yield from map(prefix.__add__, tails)
                 continue
             for tail in tails:
-                gs = last[tail[-1]]
-                if gs is not None:
-                    p = prefix + tail
-                    if not gs or not beaten(p, gs):
-                        yield p
+                if last[tail[-1]]:
+                    yield prefix + tail
     finally:
         # ``blocks`` and ``arranged`` refer to themselves; dropping them
         # here, also when the scan stops early and drops the stream, lets
@@ -660,14 +617,14 @@ def alt_min(
     Exhaustive mode (n at most ``FACTORIAL_CAP``) scans the orderings
     of ``_ordering_stream`` and reports the first one attaining the
     minimum: the lexicographically first minimiser over all n! orderings.
-    An ordering is never generated when another of its orbit under
-    Aut(H) and reversal comes earlier (see ``_ordering_stream``).  Every
-    ordering of an orbit has the same alt and witness, so the orbit of
-    the first minimiser holds only minimisers, and it is the least of
-    them; so it is generated, and the reduction changes no report.  The
-    identity, the least ordering of all, is scanned before H is searched
-    for twins and automorphisms, so a scan that stops there pays for
-    neither.
+    The stream holds the least ordering of every orbit under Aut(H) and
+    reversal, and some others (see ``_ordering_stream``).  Every ordering
+    of an orbit has the same alt and witness, so the orbit of the first
+    minimiser holds only minimisers, and it is the least of them; so it
+    is generated, every ordering scanned before it has a larger alt, and
+    the reduction changes no report.  The identity, the least ordering of
+    all, is scanned before H is searched for twins and automorphisms, so
+    a scan that stops there pays for neither.
 
     Sampled mode scans the identity plus ``samples`` seeded random
     orderings and is flagged as such: the result can overshoot the true
@@ -686,19 +643,18 @@ def alt_min(
     is 0, where alt cannot go lower anyway.
     """
     n = h.n
+    if samples is not None and samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
     search = _AltSearch(h, k, remember=samples is None)
     mode = "exhaustive" if samples is None else "sampled"
 
     if search.all_feasible:
         return AltReport(n, search.alternating_word(), LinearOrder.identity(n), k, mode)
 
-    if samples is None:
-        if n > FACTORIAL_CAP:
-            raise ValueError(
-                f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
-            )
-    elif samples < 1:
-        raise ValueError(f"sample count must be positive, got {samples}")
+    if samples is None and n > FACTORIAL_CAP:
+        raise ValueError(
+            f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
+        )
 
     # both scans start at the identity, so H is searched for symmetry only
     # when the scan goes on past it

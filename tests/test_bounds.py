@@ -361,6 +361,11 @@ def test_alt_min_empty_edges():
     assert rep.alt_value == 4
     assert rep.bound == 0
     assert chromatic_number(kneser_graph(h)).number == 0
+    # a sample count below 1 is refused also where no ordering is scanned:
+    # here, and for an intersecting family at k = 2
+    for g, k, samples in ((h, 1, 0), (complete_uniform(9, 5), 2, -1)):
+        with pytest.raises(ValueError, match="sample count must be positive"):
+            alt_min(g, k, samples=samples)
 
 
 def test_alt_min_exhaustive_cap():
@@ -415,8 +420,9 @@ def test_alt_min_is_first_minimiser_with_planted_twins(data):
 def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
     # machine-independent work count: every vertex of KG(m,r) is a twin of
     # every other, so one ordering settles it; SG(7,2) has no twins, and
-    # its dihedral group with reversal leaves 192 of the 7!/2 = 2,520
-    # reversal-filtered orderings
+    # its dihedral group with reversal leaves 360 of the 7!/2 = 2,520
+    # reversal-filtered orderings: the 192 orbit leaders and 168 others,
+    # each with a smaller reverse image that starts at the same vertex
     calls = []
     run = bounds._AltSearch.run
 
@@ -425,7 +431,7 @@ def test_alt_min_scans_one_ordering_per_twin_arrangement(monkeypatch):
         return run(self, perm, threshold)
 
     monkeypatch.setattr(bounds._AltSearch, "run", counting)
-    for h, expected in ((complete_uniform(8, 2), 1), (complete_uniform(8, 3), 1), (schrijver_hypergraph(7, 2), 192)):
+    for h, expected in ((complete_uniform(8, 2), 1), (complete_uniform(8, 3), 1), (schrijver_hypergraph(7, 2), 360)):
         calls.clear()
         alt_min(h, 1)
         assert len(calls) == expected
@@ -456,9 +462,10 @@ def test_ceiling_changes_no_report(instance, seed):
 def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     # machine-independent work count.  SG(8,2) at k = 2 has bound 6 =
     # DSATUR at the identity, so one ordering settles it; at k = 1 its
-    # bound is chi - 1 and the full scan of its 1,320 orderings, one per
-    # orbit of its dihedral group with reversal, stays.  verify_theorem
-    # passes no ceiling, since the floor assumes the theorem it checks.
+    # bound is chi - 1 and the full scan of its 2,520 orderings, which hold
+    # one per orbit of its dihedral group with reversal, stays.
+    # verify_theorem passes no ceiling, since the floor assumes the theorem
+    # it checks.
     calls = []
     run = bounds._AltSearch.run
 
@@ -471,8 +478,8 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     ceiling = greedy_color_count(kneser_graph(h))
     for scan, expected in (
         (lambda: alt_min(h, 2, ceiling=ceiling), 1),
-        (lambda: alt_min(h, 1, ceiling=ceiling), 1320),
-        (lambda: verify_theorem(h, 2), 1320),
+        (lambda: alt_min(h, 1, ceiling=ceiling), 2520),
+        (lambda: verify_theorem(h, 2), 2520),
     ):
         calls.clear()
         scan()
@@ -521,7 +528,7 @@ def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
     # ``permutations``.  Every vertex of KG(8,r) is a twin of every other,
     # so the stream places n - 1 of them and draws one; a filter over all
     # orderings draws 8! = 40,320.  SG(7,2) has no twins, and its 13 other
-    # automorphisms leave 192 of its 7!/2 = 2,520 orderings.
+    # automorphisms leave 360 of its 7!/2 = 2,520 orderings.
     drawn = 0
 
     def counting(items):
@@ -539,7 +546,7 @@ def test_ordering_stream_draws_at_most_n_orderings_on_kneser(monkeypatch):
     classes = bounds._twin_classes(sg)
     automorphisms = bounds._class_automorphisms(sg, classes)
     assert len(automorphisms) == 13
-    assert sum(1 for _ in bounds._ordering_stream(7, classes, automorphisms)) == 192
+    assert sum(1 for _ in bounds._ordering_stream(7, classes, automorphisms)) == 360
 
 
 def test_ordering_stream_places_a_late_twin_pair_in_few_blocks(monkeypatch):
@@ -571,6 +578,17 @@ def _brute_automorphisms(h):
         if all(mask_of(g[v] for v in vertices_of(e)) in edges for e in h.edges):
             group.append(g)
     return group
+
+
+def _brute_class_automorphisms(h, classes):
+    """The automorphisms of H other than the identity that keep every twin
+    class in increasing order, by brute force."""
+    identity = tuple(range(h.n + 1))
+    return {
+        g
+        for g in _brute_automorphisms(h)
+        if g != identity and all(g[u] < g[v] for c in classes for u, v in zip(c, c[1:]))
+    }
 
 
 def _brute_leaders(h):
@@ -649,55 +667,71 @@ def test_twin_classes_match_the_definition(h):
     assert bounds._twin_classes(h) == _brute_twin_classes(h)
 
 
-def _twin_sorted(p, classes):
-    """``p`` with the members of each class sorted within their slots."""
-    q = list(p)
-    for c in classes:
-        for slot, v in zip([i for i, w in enumerate(p) if w in c], c):
-            q[slot] = v
-    return tuple(q)
-
-
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(symmetric_instances())
 def test_ordering_stream_holds_every_orbit_leader(instance):
     # oracles: Aut(H) and its orbit leaders by brute force.  The class
     # automorphisms are the automorphisms other than the identity that
     # keep every twin class in increasing order.  The stream increases
-    # strictly and holds every leader; without twins it is exactly the
-    # leaders.  It is the twin stream without each ordering that some
-    # class automorphism g maps lower, alone or after reversal and
-    # sorting twins.
+    # strictly and holds every leader.  It is the twin stream without each
+    # ordering that some class automorphism g maps lower, or whose reverse
+    # image under g, twin-sorted, starts lower.
     h, _ = instance
     classes = bounds._twin_classes(h)
     automorphisms = bounds._class_automorphisms(h, classes)
-    identity = tuple(range(h.n + 1))
     assert len(set(automorphisms)) == len(automorphisms)
-    assert set(automorphisms) == {
-        g
-        for g in _brute_automorphisms(h)
-        if g != identity and all(g[u] < g[v] for c in classes for u, v in zip(c, c[1:]))
-    }
+    assert set(automorphisms) == _brute_class_automorphisms(h, classes)
     stream = list(bounds._ordering_stream(h.n, classes, automorphisms))
     assert all(p < q for p, q in zip(stream, stream[1:]))
     leaders = _brute_leaders(h)
     assert set(leaders) <= set(stream)
-    if len(classes) == h.n:
-        assert stream == leaders
+    lead = {v: c[0] for c in classes for v in c}
     assert stream == [
         p
         for p in _filtered_stream(h.n, classes)
-        if all(
-            tuple(g[v] for v in p) > p and _twin_sorted(tuple(g[v] for v in reversed(p)), classes) >= p
-            for g in automorphisms
-        )
+        if all(tuple(g[v] for v in p) > p and lead[g[p[-1]]] >= p[0] for g in automorphisms)
     ]
+
+
+def _regular_instance(seed):
+    """A 7-vertex H with edges of sizes 2..3 in which every vertex lies in
+    equally many edges, drawn greedily from ``seed``."""
+    rng = random.Random(seed)
+    degree = rng.choice((2, 3))
+    while True:
+        count, edges = [0] * 8, set()
+        while len(unfilled := [v for v in range(1, 8) if count[v] < degree]) > 1:
+            e = mask_of(rng.sample(unfilled, min(len(unfilled), rng.choice((2, 3)))))
+            if e in edges:
+                break
+            edges.add(e)
+            for v in vertices_of(e):
+                count[v] += 1
+        if not unfilled:
+            return Hypergraph(7, tuple(sorted(edges)))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [_regular_instance(seed) for seed in range(8)]
+    + [_cycle(7)]
+    + [random_hypergraph(7, 9, (2, 3), seed) for seed in range(3)],
+    ids=[f"regular-{seed}" for seed in range(8)] + ["cycle"] + [f"random-{seed}" for seed in range(3)],
+)
+def test_class_automorphisms_at_seven_vertices(h):
+    # oracle: brute force over all 7! maps.  Every vertex of a regular input
+    # has the same degree, so the co-degree keys leave most classes several
+    # candidates, and the backtracking alone must find the automorphisms
+    classes = bounds._twin_classes(h)
+    automorphisms = bounds._class_automorphisms(h, classes)
+    assert len(set(automorphisms)) == len(automorphisms)
+    assert set(automorphisms) == _brute_class_automorphisms(h, classes)
 
 
 def test_remembered_words_spare_most_walks(monkeypatch):
     # machine-independent work count: a word that reached the minimum under
     # one ordering reaches it under most of the next ones, so few of the
-    # 1,320 or 192 orderings scanned get walked (4, 4 and 3 at the time of
+    # 2,520 or 360 orderings scanned get walked (4, 4 and 3 at the time of
     # writing), and the search holds at most REMEMBERED_WORDS words; a
     # sampled scan keeps none
     walks, stores, sizes = [], [], []

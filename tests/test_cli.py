@@ -307,6 +307,13 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+    # an invalid sample count is refused also where no ordering is scanned
+    edgeless = tmp_path / "edgeless.hg"
+    edgeless.write_text("n 4\n")
+    for command in ("altbound", "verify"):
+        code, out, err = run(capsys, command, "-H", str(edgeless), "-k", "1", "--samples", "0")
+        assert code == 2 and not out
+        assert err == "error: sample count must be positive, got 0\n"
 
 
 @pytest.mark.parametrize("failing", ["write", "flush"])
