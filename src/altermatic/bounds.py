@@ -20,7 +20,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
+from operator import or_
 
 from .core import Hypergraph, LinearOrder, SignVector, vertices_of
 from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
@@ -47,9 +48,9 @@ class AltReport:
     actual vertices.  ``sigma_mode`` is "single" for a fixed-ordering
     search, "exhaustive" or "sampled" for minimization; a sampled minimum
     is an upper bound on the true minimum, hence still yields a valid
-    (possibly weaker) chromatic bound.  A minimization given a ceiling on
-    chi stops scanning at the theorem's floor (see ``alt_min``); the
-    report is the one the full scan gives.
+    (possibly weaker) chromatic bound.  A minimization stops scanning at
+    a floor that no ordering can go below (see ``alt_min``); the report
+    is the one the full scan gives.
     """
 
     alt_value: int
@@ -623,24 +624,38 @@ def alt_min(
     minimiser holds only minimisers, and it is the least of them; so it
     is generated, every ordering scanned before it has a larger alt, and
     the reduction changes no report.  The identity, the least ordering of
-    all, is scanned before H is searched for twins and automorphisms, so
-    a scan that stops there pays for neither.
+    all, is scanned first.  The free floor (below) is computed only when
+    the scan would go on past it, and H is searched for twins and
+    automorphisms only when the scan goes on past both floors.
 
     Sampled mode scans the identity plus ``samples`` seeded random
     orderings and is flagged as such: the result can overshoot the true
     minimum but every scanned ordering already certifies its own
     chromatic bound, so the report stays sound.
 
-    Either scan stops at the floor max(0, n + k - 1 - ``ceiling``).  It
-    only runs when some word is infeasible, that is when KG(H) is not
-    (k-1)-colorable, so chi >= k and the theorem gives
-    chi >= n - alt + k - 1 for every ordering: no ordering has alt below
-    n + k - 1 - chi.  Once the best ordering sits at the floor, no later
-    one can be strictly lower, and only a strictly lower one replaces it,
-    so the stop changes no report.  ``ceiling`` must be a proven upper bound on chi, such as
-    ``coloring.greedy_color_count`` of ``kneser_graph(h)``; never pass a
-    bound derived from the altermatic bound itself.  Without it the floor
-    is 0, where alt cannot go lower anyway.
+    A scan stops at the larger of two floors, below which no ordering's
+    alt can go.  Once the best ordering sits at a floor, no later one can
+    be strictly lower, and only a strictly lower one replaces it, so the
+    stop changes no report.
+
+    - The theorem's floor, max(0, n + k - 1 - ``ceiling``), in either
+      mode.  A scan only runs when some word is infeasible, that is when
+      KG(H) is not (k-1)-colorable, so chi >= k and the theorem gives
+      chi >= n - alt + k - 1 for every ordering: no ordering has alt
+      below n + k - 1 - chi.  ``ceiling`` must be a proven upper bound on
+      chi, such as ``coloring.greedy_color_count`` of ``kneser_graph(h)``;
+      never pass a bound derived from the altermatic bound itself.
+      Without it this floor is 0.
+    - The free floor, in exhaustive mode only, since its search over
+      vertex sets is exponential in n: the largest size of a vertex set S
+      whose one-sided word (R = S, B = 0) is feasible.  Every word
+      supported on S keeps only edges inside S, so it is feasible too, by
+      downward closure; under any ordering the word that alternates along
+      S has alt |S|.  This floor assumes no theorem and no ceiling, so
+      ``verify_theorem`` may stop at it and its check stays independent.
+      It is found by ``_free_floor``.  A scanned ordering whose alt falls
+      below it contradicts that argument, so it raises ``AssertionError``
+      rather than replace the best.
     """
     n = h.n
     if samples is not None and samples < 1:
@@ -656,12 +671,14 @@ def alt_min(
             f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
         )
 
-    # both scans start at the identity, so H is searched for symmetry only
-    # when the scan goes on past it
+    # both scans start at the identity, so the free floor and the symmetry
+    # of H are searched for only when the scan goes on past it
     identity = tuple(range(1, n + 1))
     best = (*search.run(identity), identity)
     floor = 0 if ceiling is None else max(0, n + k - 1 - ceiling)
-    if best[0] > floor:
+    free = _free_floor(search, floor, best[0]) if samples is None and best[0] > floor else 0
+    stop = max(floor, free)
+    if best[0] > stop:
         if samples is None:
             classes = _twin_classes(h)
             orderings = _ordering_stream(n, classes, _class_automorphisms(h, classes))
@@ -670,10 +687,27 @@ def alt_min(
         for perm in islice(orderings, 1, None):
             outcome = search.run(perm, threshold=best[0])
             if outcome is not None:
+                if outcome[0] < free:
+                    raise AssertionError(f"alt {outcome[0]} under {perm} is below the free floor {free}")
                 best = (*outcome, perm)
-                if best[0] <= floor:
+                if best[0] <= stop:
                     break
     return AltReport(best[0], best[1], LinearOrder(best[2]), k, mode)
+
+
+def _free_floor(search: _AltSearch, low: int, high: int) -> int:
+    """The largest size in low + 1..high of a vertex set S whose one-sided
+    word (R = S, B = 0) is feasible, or 0 if there is none; sizes are tried
+    largest first.  The edges inside S are those holding no vertex outside
+    it."""
+    h = search.h
+    every = (1 << len(h.edges)) - 1
+    for size in range(high, low, -1):
+        for outside in combinations(h.incidence, h.n - size):
+            inside = every & ~functools.reduce(or_, outside, 0)
+            if not inside or search.k > 1 and search._chrom_ok(inside):
+                return size
+    return 0
 
 
 def verify_theorem(h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0) -> TheoremCheck:

@@ -464,8 +464,10 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     # DSATUR at the identity, so one ordering settles it; at k = 1 its
     # bound is chi - 1 and the full scan of its 2,520 orderings, which hold
     # one per orbit of its dihedral group with reversal, stays.
-    # verify_theorem passes no ceiling, since the floor assumes the theorem
-    # it checks.
+    # verify_theorem passes no ceiling, since the theorem's floor assumes
+    # the theorem it checks.  At k = 2 the free floor stops it at the
+    # identity instead: the largest vertex set whose edges pairwise
+    # intersect, such as {1, 3, 5}, has 3 vertices, the identity's alt.
     calls = []
     run = bounds._AltSearch.run
 
@@ -479,11 +481,69 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     for scan, expected in (
         (lambda: alt_min(h, 2, ceiling=ceiling), 1),
         (lambda: alt_min(h, 1, ceiling=ceiling), 2520),
-        (lambda: verify_theorem(h, 2), 2520),
+        (lambda: verify_theorem(h, 2), 1),
     ):
         calls.clear()
         scan()
         assert len(calls) == expected
+
+
+def test_verify_stops_at_the_free_floor(monkeypatch):
+    # machine-independent work count: the 8-cycle's free floor is 4 at
+    # k = 1 (an independent set) and 5 at k = 2 (a path of two edges and
+    # two more vertices, such as {1, 2, 3, 5, 7}), its minimum alt at both
+    # levels, so its scan of 2,520 orderings stops at the first minimiser
+    calls = []
+    run = bounds._AltSearch.run
+
+    def counting(self, perm, threshold=None):
+        calls.append(perm)
+        return run(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting)
+    for k, expected in ((1, 973), (2, 670)):
+        calls.clear()
+        check = verify_theorem(_cycle(8), k)
+        assert len(calls) == expected
+        assert (check.report.alt_value, check.bound, check.tight) == (3 + k, 4, True)
+
+
+def _brute_free_floor(h, k):
+    # oracle: the largest vertex set whose one-sided word is feasible
+    return max(s.bit_count() for s in range(1 << h.n) if reference.feasible_by_scan(h, s, 0, k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(small_instances())
+def test_free_floor_is_the_largest_feasible_one_sided_word(instance):
+    # and no ordering has alt below it: against the enumeration oracle up
+    # to n = 5, and against ``alt_sigma`` at n = 6, where the oracle would
+    # take seconds per input
+    h, _, k = instance
+    free = bounds._free_floor(bounds._AltSearch(h, k), 0, h.n)
+    assert free == _brute_free_floor(h, k)
+    for p in permutations(range(1, h.n + 1)):
+        order = LinearOrder(p)
+        if h.n <= 5:
+            assert free <= reference.alt_sigma_by_enumeration(h, order, k)
+        else:
+            assert free <= alt_sigma(h, order, k).alt_value
+
+
+def test_alt_below_the_free_floor_is_an_internal_error(monkeypatch):
+    # a walk that answered too low an alt would contradict downward
+    # closure; the scan raises rather than report it.  The 8-cycle's
+    # free floor at k = 1 is 4, and the patched threshold runs answer 3.
+    run = bounds._AltSearch.run
+
+    def too_low(self, perm, threshold=None):
+        if threshold is None:
+            return run(self, perm)
+        return 3, SignVector(self.h.n, 0b101, 0b10)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", too_low)
+    with pytest.raises(AssertionError, match="below the free floor 4"):
+        alt_min(_cycle(8), 1)
 
 
 def _filtered_stream(n, classes):
@@ -628,16 +688,15 @@ def symmetric_instances(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(symmetric_instances())
+@given(st.one_of(symmetric_instances(), floor_instances()))
 def test_alt_min_is_first_minimiser_under_symmetry(instance):
-    # oracle: alt_sigma under all n! orderings; the report is the first
-    # minimiser, with its own witness
+    # oracle: alt_sigma under all n! orderings, n <= 7; the report is the
+    # first minimiser, with its own witness
     h, k = instance
     orderings = permutations(range(1, h.n + 1))
     alt_value, sigma = min((alt_sigma(h, LinearOrder(p), k).alt_value, p) for p in orderings)
-    rep = alt_min(h, k)
-    assert (rep.alt_value, rep.sigma.perm) == (alt_value, sigma)
-    assert rep.witness == alt_sigma(h, rep.sigma, k).witness
+    witness = alt_sigma(h, LinearOrder(sigma), k).witness
+    assert alt_min(h, k) == bounds.AltReport(alt_value, witness, LinearOrder(sigma), k, "exhaustive")
 
 
 def _brute_twin_classes(h):
