@@ -32,9 +32,6 @@ from .kneser import kneser_graph
 FACTORIAL_CAP = 8
 # Seeded shuffles ``seed_bound`` tries after the identity ordering.
 SEED_ORDERINGS = 128
-# Longest tail whose twin-sorted orders ``_ordering_stream`` lists once
-# and reuses, where twins are still unplaced but no automorphism is live.
-ARRANGED_TAIL = 4
 # Feasible words an ``_AltSearch`` keeps to refute threshold runs unwalked.
 REMEMBERED_WORDS = 4
 
@@ -96,13 +93,13 @@ class _AltSearch:
     recur across branches and across orderings.
 
     The search also remembers the last ``REMEMBERED_WORDS`` feasible words
-    its walks ended on, by vertex rather than by slot, most recently useful
-    first.  Which edges survive a word depends only on which vertices are
-    R and which are B, never on the ordering, so a remembered word is
-    feasible under every ordering.  When one of them reaches alt >=
-    threshold under the ordering of a threshold run, the maximum does too,
-    and the run returns None without a walk, exactly as the walk would.
-    Every returned result still comes from a full walk.
+    its walks ended on, by vertex rather than by slot, newest first.
+    Which edges survive a word depends only on which vertices are R and
+    which are B, never on the ordering, so a remembered word is feasible
+    under every ordering.  When one of them reaches alt >= threshold under
+    the ordering of a threshold run, the maximum does too, and the run
+    returns None without a walk, exactly as the walk would.  Every
+    returned result still comes from a full walk.
 
     A search built with ``remember=False`` keeps no words.  Sampled
     ``alt_min`` builds it so: under a random ordering a word seldom reaches
@@ -117,17 +114,12 @@ class _AltSearch:
         self.k = k
         # k >= 3: feasibility by survivor set, decided by a coloring
         self._chrom: dict[int, bool] = {}
+        if k == 2:
+            self._clash = h.kneser_rows
         # True when even the all-surviving edge set fits the budget, in
         # which case every sign word is feasible and alt = n outright; at
         # k = 2 that is when H is an intersecting family.
-        if k == 1:
-            self.all_feasible = not h.edges
-        elif k == 2:
-            self._clash = h.kneser_rows
-            self.all_feasible = not any(self._clash)
-        else:
-            full = (1 << len(h.edges)) - 1
-            self.all_feasible = self._chrom[full] = chromatic_at_most(kneser_graph(h), k - 1)
+        self.all_feasible = not h.edges or k > 1 and self._chrom_ok((1 << len(h.edges)) - 1)
         # Remembered words as ``bytes.translate`` arguments: a table taking
         # each vertex id to b"R" or b"B", and the ids of its 0 vertices
         # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
@@ -160,17 +152,12 @@ class _AltSearch:
         )
 
     def _refuted(self, perm: tuple[int, ...], threshold: int) -> bool:
-        """Whether a remembered word reaches alt >= threshold under ``perm``;
-        the word that does moves to the front."""
+        """Whether a remembered word reaches alt >= threshold under ``perm``."""
         key = bytes(perm)
-        words = self._words
-        for word in words:
+        for word in self._words:
             signs = key.translate(*word)
             # alt is the number of runs of equal signs; no word is empty
             if signs.count(b"RB") + signs.count(b"BR") + 1 >= threshold:
-                if word is not words[0]:
-                    words.remove(word)
-                    words.insert(0, word)
                 return True
         return False
 
@@ -399,8 +386,6 @@ def _class_automorphisms(h: Hypergraph, classes: list[tuple[int, ...]]) -> tuple
     ends before it starts.
     """
     n = h.n
-    if len(classes) == 1:
-        return ()
     inc = (0, *h.incidence)
     meet = [[(a & b).bit_count() for b in inc] for a in inc]
     keys = [(len(c), *sorted(meet[c[0]])) for c in classes]
@@ -493,16 +478,12 @@ def _ordering_stream(
 
     Each slot is offered, in increasing order, every unplaced vertex that
     is the least unplaced member of its class and that no live g maps
-    lower.  Once no g is live, the walk hands the tail over in one block.
-    When no class has two unplaced members, every order of the rest is
-    allowed, so the tail is ``permutations`` of the remaining vertices.
-    When at most ``ARRANGED_TAIL`` vertices remain, the tail runs over
-    their twin-sorted orders, listed once for each set of remaining
-    vertices; so a twin pair whose lower member comes late costs no walk
-    over the many short prefixes before it.  Both keep the stream in
-    lexicographic order.  Without twins or automorphisms the block starts
-    at the first slot, and the stream is the plain reversal-filtered
-    permutation scan.
+    lower.  Once no g is live and no class has two unplaced members, every
+    order of the rest is allowed, so the walk hands the tail over in one
+    block, ``permutations`` of the remaining vertices, which keeps the
+    stream in lexicographic order.  Without twins or automorphisms the
+    block starts at the first slot, and the stream is the plain
+    reversal-filtered permutation scan.
     """
     # ``before[v]``: the bit of v's predecessor in its class; ``lead[v]``:
     # the least member of v's class, where a twin-sorted ordering that
@@ -526,38 +507,15 @@ def _ordering_stream(
             row = rows[f] = [u > f and all(lead[g[u]] >= f for g in automorphisms) for u in range(n + 1)]
         return row
 
-    memo: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def arranged(rest, bits):
-        # the orders of ``rest`` (vertex bits ``bits``) that list each twin
-        # class in increasing order, lexicographically
-        tails = memo.get(bits)
-        if tails is None:
-            tails = memo[bits] = (
-                tuple(
-                    (v,) + tail
-                    for i, v in enumerate(rest)
-                    if not before[v] & bits
-                    for tail in arranged(rest[:i] + rest[i + 1 :], bits ^ (1 << v))
-                )
-                if len(rest) > 1
-                else (rest,)
-            )
-        return tails
-
     def blocks(prefix, rest, bits, live):
-        # (prefix, rest, tails), in lexicographic order of prefix + tail.
+        # (prefix, tails), in lexicographic order of prefix + tail.
         # ``bits``: the vertex bits of ``rest``; ``live``: the automorphisms
         # that fix every vertex of ``prefix``.  Classes are placed in
         # increasing order, so a class has two members in ``rest`` exactly
         # when a vertex of ``heads`` is in ``rest``.
-        if not live:
-            if not heads & bits:
-                yield prefix, rest, permutations(rest)
-                return
-            if len(rest) <= ARRANGED_TAIL:
-                yield prefix, rest, arranged(rest, bits)
-                return
+        if not live and not heads & bits:
+            yield prefix, permutations(rest)
+            return
         for i, v in enumerate(rest):
             if before[v] & bits:
                 continue
@@ -571,7 +529,7 @@ def _ordering_stream(
                 yield from blocks(prefix + (v,), rest[:i] + rest[i + 1 :], bits ^ (1 << v), kept)
 
     try:
-        for prefix, rest, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, automorphisms):
+        for prefix, tails in blocks((), tuple(range(1, n + 1)), (2 << n) - 2, automorphisms):
             if not prefix:
                 for p in tails:
                     # p[0] == p[-1] only when n = 1, whose one ordering is kept
@@ -579,17 +537,14 @@ def _ordering_stream(
                         yield p
                 continue
             last = ends(prefix[0])
-            if all(last[u] for u in rest):
-                yield from map(prefix.__add__, tails)
-                continue
             for tail in tails:
                 if last[tail[-1]]:
                     yield prefix + tail
     finally:
-        # ``blocks`` and ``arranged`` refer to themselves; dropping them
-        # here, also when the scan stops early and drops the stream, lets
-        # reference counting free them (see ``_AltSearch._walk``)
-        blocks = arranged = None
+        # ``blocks`` refers to itself; dropping it here, also when the scan
+        # stops early and drops the stream, lets reference counting free it
+        # (see ``_AltSearch._walk``)
+        blocks = None
 
 
 def _sampled_orderings(n: int, samples: int, seed: int):
@@ -615,9 +570,10 @@ def alt_min(
 ) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
-    Exhaustive mode (n at most ``FACTORIAL_CAP``) scans the orderings
-    of ``_ordering_stream`` and reports the first one attaining the
-    minimum: the lexicographically first minimiser over all n! orderings.
+    Exhaustive mode (n at most ``FACTORIAL_CAP``; a larger n is refused
+    before any search, even where every word is feasible) scans the
+    orderings of ``_ordering_stream`` and reports the first one attaining
+    the minimum: the lexicographically first minimiser over all n! orderings.
     The stream holds the least ordering of every orbit under Aut(H) and
     reversal, and some others (see ``_ordering_stream``).  Every ordering
     of an orbit has the same alt and witness, so the orbit of the first
@@ -658,18 +614,12 @@ def alt_min(
       rather than replace the best.
     """
     n = h.n
-    if samples is not None and samples < 1:
-        raise ValueError(f"sample count must be positive, got {samples}")
+    _check_scan(n, samples)
     search = _AltSearch(h, k, remember=samples is None)
     mode = "exhaustive" if samples is None else "sampled"
 
     if search.all_feasible:
         return AltReport(n, search.alternating_word(), LinearOrder.identity(n), k, mode)
-
-    if samples is None and n > FACTORIAL_CAP:
-        raise ValueError(
-            f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
-        )
 
     # both scans start at the identity, so the free floor and the symmetry
     # of H are searched for only when the scan goes on past it
@@ -695,6 +645,19 @@ def alt_min(
     return AltReport(best[0], best[1], LinearOrder(best[2]), k, mode)
 
 
+def _check_scan(n: int, samples: int | None) -> None:
+    """Raise ``ValueError`` for a scan that ``alt_min`` refuses on n
+    vertices: a sample count below 1, or an exhaustive scan past
+    ``FACTORIAL_CAP``.  It needs no search, so callers run it first."""
+    if samples is None:
+        if n > FACTORIAL_CAP:
+            raise ValueError(
+                f"exhaustive ordering scan refused for n={n} > cap {FACTORIAL_CAP}; use sampled mode"
+            )
+    elif samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
+
+
 def _free_floor(search: _AltSearch, low: int, high: int) -> int:
     """The largest size in low + 1..high of a vertex set S whose one-sided
     word (R = S, B = 0) is feasible, or 0 if there is none; sizes are tried
@@ -715,11 +678,13 @@ def verify_theorem(h: Hypergraph, k: int, *, samples: int | None = None, seed: i
 
     ``holds`` must come out True on every input; a False outcome means an
     implementation bug, reproducible from the ordering and witness word of
-    the record's ``report``.  Levels beyond chi + 1 are rejected once chi
-    is known.
+    the record's ``report``.  A scan that ``alt_min`` refuses is refused
+    before chi is computed; levels beyond chi + 1 are rejected once chi is
+    known.
     """
     if k < 1:
         raise ValueError(f"level k must be positive, got {k}")
+    _check_scan(h.n, samples)
     chi: ChromaticResult = chromatic_number(kneser_graph(h))
     if k > chi.number + 1:
         raise ValueError(f"level k={k} exceeds chi+1 = {chi.number + 1}")

@@ -352,6 +352,26 @@ def test_exhaustive_cap_is_usage_error(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_refused_scans_exit_2_before_colouring(capsys, tmp_path, monkeypatch):
+    # on KG(11,4) a colouring that refutes 4 colours takes minutes, so a
+    # refused request that starts one fails here instead of hanging
+    def refuse(*_):
+        raise AssertionError("a refused request started colouring")
+
+    for module in (bounds, cli):
+        monkeypatch.setattr(module, "chromatic_number", refuse)
+        monkeypatch.setattr(module, "chromatic_at_most", refuse)
+    path = write_kneser(tmp_path, 11, 4)
+    for argv in (
+        ("verify", "-k", "1", "--samples", "0"),
+        ("verify", "-k", "1", "--exhaustive"),
+        ("altbound", "-k", "5", "--exhaustive"),
+    ):
+        code, out, err = run(capsys, argv[0], "-H", path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+
 def test_reports_byte_identical_modulo_timing(capsys, tmp_path):
     path = write_kneser(tmp_path, 5, 2)
     runs = []
