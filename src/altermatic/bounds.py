@@ -310,8 +310,10 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
     bound.  Each search stops at its first word that reaches the bound
     already held, and a word remembered from an earlier shuffle settles
     most of them before any walk.  The scan ends once the bound reaches
-    ``ceiling``, an upper bound on chi such as
-    ``coloring.greedy_color_count``, which no ordering can pass.
+    ``ceiling``, an upper bound on chi such as the palette of
+    ``kneser.cut_coloring(h)``, which no ordering can pass.  Only a strict
+    raise replaces the ordering, so a lower ceiling ends the scan sooner
+    but changes no result.
     """
     n = h.n
     perm = tuple(range(1, n + 1))

@@ -33,7 +33,7 @@ from .bounds import FACTORIAL_CAP, AltReport, alt_min, alt_sigma, seed_bound, ve
 from .coloring import chromatic_at_most, chromatic_number, greedy_clique, greedy_color_count
 from .core import Hypergraph, LinearOrder, SearchLimitError, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
-from .kneser import complete_uniform, kneser_graph, random_hypergraph, schrijver_hypergraph
+from .kneser import complete_uniform, cut_coloring, kneser_graph, random_hypergraph, schrijver_hypergraph
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -174,8 +174,9 @@ def _cmd_chromatic(args) -> int:
     with _request(args) as (h, _, report):
         g = kneser_graph(h)
         clique = len(greedy_clique(g))
-        seed, level, _ = seed_bound(h, clique=clique, ceiling=greedy_color_count(g))
-        result = chromatic_number(g, lower=seed)
+        upper = cut_coloring(h)
+        seed, level, _ = seed_bound(h, clique=clique, ceiling=upper.palette)
+        result = chromatic_number(g, lower=seed, upper=upper)
         report["chi"] = result.number
         report["chi_proof"] = _chi_proof(result.number, clique, seed, level)
         report["coloring"] = result.coloring.assignment

@@ -9,7 +9,8 @@ neighbors of that color's vertices; a vertex's saturation is the number
 of masks holding it, and backtracking restores one mask.  The search
 runs on an explicit stack, so its depth is not limited by Python's
 recursion limit.  The chromatic number is the least budget, counted up
-from the clique size or a proven lower bound, that the decision accepts.
+from the clique size or a proven lower bound, that the decision accepts;
+it ends without deciding at the palette of a given proper coloring.
 One DSATUR pass without backtracking gives an upper bound.
 
 Each solve call owns its search state, so distinct calls may run
@@ -186,22 +187,34 @@ def chromatic_at_most(g: SimpleGraph, t: int) -> bool:
     return _decide(g, t) is not None
 
 
-def chromatic_number(g: SimpleGraph, *, lower: int = 1) -> ChromaticResult:
+def chromatic_number(g: SimpleGraph, *, lower: int = 1, upper: Coloring | None = None) -> ChromaticResult:
     """Least color count with a witness coloring that attains it.
 
     Runs the exact decision for t = max(greedy clique size, ``lower``, 1),
     t + 1, ... and returns the first budget that succeeds; a budget of one
     color per vertex always does.  ``lower`` must be a proven lower bound
     on the chromatic number, such as an altermatic bound: the rungs below
-    it are never tried.  The witness is the decision's coloring at the
-    returned budget, so it does not depend on ``lower``, and since every
-    smaller budget fails it uses exactly the returned number of colors.
+    it are never tried.  ``upper``, when given, must be a proper coloring
+    of ``g``, such as ``kneser.cut_coloring``: the ladder ends at its
+    palette, where it returns ``upper`` itself without deciding.  Else the
+    witness is the decision's coloring at the returned budget, which does
+    not depend on ``lower``.  Since every smaller budget fails, the
+    witness uses exactly the returned number of colors either way.
+
+    Raises ValueError when ``upper`` has the wrong length or a palette
+    below the ladder's first rung, which no proper coloring can have
+    when ``lower`` is proven.
     """
+    if upper is not None and len(upper.assignment) != g.vcount:
+        raise ValueError(f"upper coloring has {len(upper.assignment)} entries for {g.vcount} vertices")
     if g.vcount == 0:
         return ChromaticResult(0, Coloring((), 0))
     t = max(len(greedy_clique(g)), lower, 1)
-    while True:
+    if upper is not None and upper.palette < t:
+        raise ValueError(f"upper coloring uses {upper.palette} colors, below the first rung {t}")
+    while upper is None or t < upper.palette:
         found = _decide(g, t)
         if found is not None:
             return ChromaticResult(t, Coloring(tuple(found), t))
         t += 1
+    return ChromaticResult(t, upper)

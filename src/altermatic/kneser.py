@@ -6,7 +6,8 @@ between disjoint hyperedges.  Its adjacency rows are
 per-vertex incidence masks (``Hypergraph.incidence``) and keeps.
 Generators emit edges in lexicographic order of their sorted vertex
 tuples so that Kneser vertex indices are stable across runs and
-platforms.
+platforms.  ``cut_coloring`` builds a proper colouring of the Kneser
+graph from the hypergraph alone: an upper bound on its chromatic number.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from itertools import combinations
 from math import comb
 
+from .coloring import Coloring
 from .core import Hypergraph, SimpleGraph, mask_of, vertices_of
 
 
@@ -25,6 +27,43 @@ def kneser_graph(h: Hypergraph) -> SimpleGraph:
     loops.  An empty edge list gives the empty graph.
     """
     return SimpleGraph(len(h.edges), h.kneser_rows)
+
+
+def cut_coloring(h: Hypergraph) -> Coloring:
+    """A proper colouring of ``kneser_graph(h)`` read from ``h`` alone.
+
+    It generalises the standard colouring of KG(m,r) (Kneser 1955; Lovasz
+    1978) under the identity ordering.  The cut c is the least one such
+    that the edges whose least vertex is above c pairwise intersect.  Each
+    edge whose least vertex is at most c takes one colour per distinct
+    least vertex, in increasing order: edges sharing their least vertex
+    meet there.  The tail edges above c take one more colour, or none
+    when there is no tail.  On KG(m,r) the cut is m - 2r + 1 and the
+    palette is m - 2r + 2 = chi.  Without edges the palette is 0.
+    """
+    # by_least[v]: the index bits of the edges whose least vertex bit is v;
+    # near[v]: the edges disjoint from one of them.
+    by_least = [0] * h.n
+    near = [0] * h.n
+    for i, (e, row) in enumerate(zip(h.edges, h.kneser_rows)):
+        v = (e & -e).bit_length() - 1
+        by_least[v] |= 1 << i
+        near[v] |= row
+    # Lower the cut from n while the edges with least vertex above it
+    # pairwise intersect.  Edges sharing a least vertex meet, so the cut
+    # stops at the first vertex whose edges miss some edge already above.
+    tail = 0
+    for cut in range(h.n, 0, -1):
+        tail |= by_least[cut - 1]
+        if near[cut - 1] & tail:
+            break
+    else:
+        cut = 0
+    heads = [v for v in range(cut) if by_least[v]]
+    color = {v: c for c, v in enumerate(heads, 1)}
+    tail_color = len(heads) + 1
+    assignment = tuple(color.get((e & -e).bit_length() - 1, tail_color) for e in h.edges)
+    return Coloring(assignment, max(assignment, default=0))
 
 
 def complete_uniform(m: int, r: int) -> Hypergraph:

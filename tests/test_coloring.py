@@ -152,6 +152,53 @@ def test_lower_bound_skips_rungs_and_keeps_the_witness():
             assert chromatic_number(g, lower=lower) == full
 
 
+def greedy_in_order(g: SimpleGraph, order: list[int]) -> Coloring:
+    """Each vertex in ``order`` takes the lowest color its colored neighbors
+    lack: a proper coloring that uses exactly 1..palette."""
+    colors = [0] * g.vcount
+    for v in order:
+        taken = {colors[u] for u in range(g.vcount) if g.rows[v] >> u & 1}
+        colors[v] = next(c for c in range(1, g.vcount + 1) if c not in taken)
+    return Coloring(tuple(colors), max(colors, default=0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(small_graphs(), st.data())
+def test_upper_ends_the_ladder_and_changes_no_number(g, data):
+    # for a proper upper coloring u and a proven lower bound l, the number
+    # is that of the full ladder; the witness is u exactly when chi equals
+    # u's palette, and else the full ladder's witness
+    full = chromatic_number(g)
+    chi = full.number
+    order = data.draw(st.permutations(range(g.vcount)))
+    uppers = [greedy_in_order(g, order), Coloring(tuple(range(1, g.vcount + 1)), g.vcount)]
+    if g.vcount:
+        uppers.append(Coloring(full.coloring.assignment, chi + data.draw(st.integers(0, 2))))
+    for u in uppers:
+        assert is_proper(g, u)
+        for lower in range(chi + 1):
+            result = chromatic_number(g, lower=lower, upper=u)
+            assert result.number == chi
+            if g.vcount:
+                assert (result.coloring is u) == (chi == u.palette)
+                assert result.coloring == (u if chi == u.palette else full.coloring)
+
+
+def test_upper_of_the_wrong_size_or_below_the_first_rung_is_refused():
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="2 entries for 3 vertices"):
+        chromatic_number(g, upper=Coloring((1, 2), 2))
+    with pytest.raises(ValueError, match="1 entries for 0 vertices"):
+        chromatic_number(SimpleGraph(0, ()), upper=Coloring((1,), 1))
+    # the greedy clique of K3 is the first rung, 3
+    with pytest.raises(ValueError, match="uses 2 colors, below the first rung 3"):
+        chromatic_number(g, upper=Coloring((1, 2, 2), 2))
+    # an unproven lower bound above the palette
+    with pytest.raises(ValueError, match="uses 3 colors, below the first rung 4"):
+        chromatic_number(g, lower=4, upper=Coloring((1, 2, 3), 3))
+    assert chromatic_number(g, lower=3, upper=Coloring((1, 2, 3), 3)).coloring == Coloring((1, 2, 3), 3)
+
+
 def test_odd_cycle_longer_than_the_recursion_limit():
     n = 1501
     g = SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])

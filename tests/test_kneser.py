@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 from altermatic import (
     Hypergraph,
     complete_uniform,
+    is_proper,
     kneser_graph,
     random_hypergraph,
     schrijver_hypergraph,
+    vertices_of,
 )
-from altermatic import bounds
+from altermatic import bounds, reference
+from altermatic.kneser import cut_coloring
 
 
 def test_pairs_of_four_is_perfect_matching():
@@ -85,6 +88,49 @@ def test_kneser_rows_and_incidence_match_the_definitions(instance):
     for p, row in enumerate(h.incidence):
         for i, e in enumerate(edges):
             assert bool(row >> i & 1) == bool(e >> p & 1), (p, i)
+
+
+def cut_coloring_by_definition(edges: list[int]) -> tuple[int, ...]:
+    """The cut colouring straight from its definition, on vertex tuples:
+    the least cut c whose tail (edges with least vertex above c) is
+    pairwise intersecting, one colour per distinct least vertex <= c in
+    increasing order, then one for the tail."""
+    sets = [set(vertices_of(e)) for e in edges]
+    cut = next(
+        c for c in range(max((min(s) for s in sets), default=0) + 1)
+        if all(a & b for a in sets for b in sets if min(a) > c and min(b) > c)
+    )
+    heads = sorted({min(s) for s in sets if min(s) <= cut})
+    return tuple(heads.index(min(s)) + 1 if min(s) <= cut else len(heads) + 1 for s in sets)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(edge_lists())
+def test_cut_coloring_is_a_proper_upper_bound(instance):
+    n, edges = instance
+    h = Hypergraph(n, tuple(edges))
+    g = kneser_graph(h)
+    c = cut_coloring(h)
+    assert c.assignment == cut_coloring_by_definition(edges)
+    assert is_proper(g, c)
+    assert set(c.assignment) == set(range(1, c.palette + 1))
+    if g.vcount <= 9:
+        assert c.palette >= reference.chromatic_by_enumeration(g)
+
+
+@pytest.mark.parametrize("family", [complete_uniform, schrijver_hypergraph])
+def test_cut_coloring_is_the_standard_colouring_on_the_families(family):
+    # chi(KG(m,r)) = chi(SG(m,r)) = m - 2r + 2 for m >= 2r (Lovasz 1978;
+    # Schrijver 1978); below 2r every two r-subsets meet, so chi is 1
+    for m in range(1, 12):
+        for r in range(1, m + 1):
+            if family is schrijver_hypergraph and m < 2 * r:
+                continue
+            h = family(m, r)
+            c = cut_coloring(h)
+            assert is_proper(kneser_graph(h), c), (m, r)
+            assert set(c.assignment) == set(range(1, c.palette + 1)), (m, r)
+            assert c.palette == max(m - 2 * r + 2, 1), (m, r)
 
 
 def test_graph_and_level_two_search_share_the_hypergraph_rows():
