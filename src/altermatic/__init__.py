@@ -26,7 +26,6 @@ from .bounds import AltReport, TheoremCheck, alt_min, alt_sigma, verify_theorem
 from .audit import (
     AuditAnomaly,
     AuditContext,
-    PermissibleSequence,
     ProperWithinBound,
     Violation,
     Witness,
@@ -52,7 +51,6 @@ __all__ = [
     "Hypergraph",
     "LinearOrder",
     "ParseError",
-    "PermissibleSequence",
     "ProperWithinBound",
     "SearchLimitError",
     "SignVector",

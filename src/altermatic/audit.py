@@ -4,11 +4,11 @@ A coloring of the hyperedges of H that uses at most n - alt + k - 2 colors
 cannot properly color the Kneser graph of H.  This module operationalizes
 the argument behind that fact as a path-following search: sign words get a
 signed level, nested chains of signed vertex insertions ("permissible
-sequences") form a graph under two local rewrite rules, and the structure
-of that graph forces any walk from the empty chain to run into a
-contradiction.  The contradiction is a level tie, which is always
-concrete - two disjoint hyperedges carrying the same color - and is
-returned as a ``Witness``.
+sequences", each a plain tuple of signed steps, see ``neighbors``) form a
+graph under two local rewrite rules, and the structure of that graph
+forces any walk from the empty chain to run into a contradiction.  The
+contradiction is a level tie, which is always concrete - two disjoint
+hyperedges carrying the same color - and is returned as a ``Witness``.
 
 Levels and chains live in ordering slots ("positions"); whenever a level
 needs to look at actual hyperedges, the position sets are pushed through
@@ -69,48 +69,8 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class PermissibleSequence:
-    """A nested chain of disjoint sign pairs, one signed position per step.
-
-    Step +p inserts position p on the red side, -p on the blue side; the
-    chain of pairs is read off the prefixes.  Absolute values are distinct,
-    so a chain of m steps has pairs of support 0, 1, ..., m.  The defining
-    level condition (every inserted signed position appears among the chain's
-    levels) depends on a coloring context.
-    """
-
-    n: int
-    steps: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for s in self.steps:
-            if s == 0 or abs(s) > self.n:
-                raise ValueError(f"step {s} outside signed range 1..{self.n}")
-            if abs(s) in seen:
-                raise ValueError(f"position {abs(s)} inserted twice")
-            seen.add(abs(s))
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """(reds, blues) position masks of every chain prefix, smallest first."""
-        reds = blues = 0
-        out = [(0, 0)]
-        for s in self.steps:
-            if s > 0:
-                reds |= 1 << (s - 1)
-            else:
-                blues |= 1 << (-s - 1)
-            out.append((reds, blues))
-        return out
-
-
 LevelOutcome = Union[int, Violation]
-NeighborOutcome = Union[list[PermissibleSequence], Violation]
+NeighborOutcome = Union[list[tuple[int, ...]], Violation]
 
 
 class AuditContext:
@@ -239,26 +199,20 @@ class AuditContext:
         return self.h.n
 
 
-def _derived(n: int, steps: tuple[int, ...]) -> PermissibleSequence:
-    """A chain made from a valid one by a rewrite rule of ``neighbors``.
-
-    Swapping, dropping or negating steps, or appending a new position
-    within 1..n, keeps the steps valid, so the checks of
-    ``PermissibleSequence.__post_init__`` are not run again.
-    """
-    seq = object.__new__(PermissibleSequence)
-    seq.__dict__.update(n=n, steps=steps)
-    return seq
+def _swapped(steps: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """``steps`` with insertion steps i and i+1 (1-based) exchanged."""
+    return steps[: i - 1] + (steps[i], steps[i - 1]) + steps[i + 1:]
 
 
-def _swap_steps(seq: PermissibleSequence, i: int) -> PermissibleSequence:
-    """Exchange the insertion order of chain steps i and i+1 (1-based)."""
-    s = seq.steps
-    return _derived(seq.n, s[: i - 1] + (s[i], s[i - 1]) + s[i + 1:])
+def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
+    """The one or two chains adjacent to the chain ``steps`` in the audit graph.
 
-
-def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
-    """The one or two chains adjacent to ``seq`` in the audit graph.
+    A chain is a permissible sequence written as its signed steps: step +p
+    inserts position p on the red side, -p on the blue side, and the chain
+    of pairs is read off the prefixes.  Its steps must lie within 1..n in
+    absolute value, with no position inserted twice, so a chain of m steps
+    has pairs of support 0, 1, ..., m; any other step raises
+    ``ValueError``.
 
     Exactly one of two exclusive situations applies to a permissible chain:
 
@@ -274,27 +228,39 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
     The empty chain's mirror is itself and is discarded, leaving its single
     append neighbor.  An append whose position exceeds n is dropped (only
     reachable when the palette exceeds the audited regime), which is what
-    lets beyond-regime walks terminate.  ``seq`` itself is checked here, not
-    the chains it produces, which are checked when they are levelled in
-    turn: any level tie along ``seq``, a step missing from its levels, and
-    any failure of the dichotomy comes back as a ``Violation`` - with a
-    witness whenever the failure certifies the coloring improper.
+    lets beyond-regime walks terminate.  ``steps`` itself is checked here,
+    not the chains it produces, which are checked when they are levelled in
+    turn: the first level tie along ``steps``, a step missing from its
+    levels, and any failure of the dichotomy comes back as a ``Violation``
+    - with a witness whenever the failure certifies the coloring improper.
     """
-    n, steps = seq.n, seq.steps
+    n = ctx.n
     m = len(steps)
     level = ctx.level
-    values = []
+    # level every prefix pair, the empty one (level 1) first, and check
+    # every step, also those after the first tie
+    values = [level(0, 0)]
+    tie = None
     reds = blues = 0
-    # level every prefix pair, the empty one first
-    for s in (0, *steps):
+    for s in steps:
+        p = abs(s)
+        if not 0 < p <= n:
+            raise ValueError(f"step {s} outside signed range 1..{n}")
+        bit = 1 << (p - 1)
+        if (reds | blues) & bit:
+            raise ValueError(f"position {p} inserted twice")
         if s > 0:
-            reds |= 1 << (s - 1)
-        elif s:
-            blues |= 1 << (-s - 1)
-        lv = level(reds, blues)
-        if isinstance(lv, Violation):
-            return lv
-        values.append(lv)
+            reds |= bit
+        else:
+            blues |= bit
+        if tie is None:
+            lv = level(reds, blues)
+            if isinstance(lv, Violation):
+                tie = lv
+            else:
+                values.append(lv)
+    if tie is not None:
+        return tie
     support = set(steps)
     if not support <= set(values):
         return Violation(None, f"chain {steps} is not permissible (levels {values})")
@@ -302,16 +268,16 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
     plateau = [i for i in range(m) if values[i] == values[i + 1]]
     missing = [i for i in range(m + 1) if values[i] not in support]
 
-    produced: list[PermissibleSequence] = []
+    produced: list[tuple[int, ...]] = []
     if len(plateau) == 1 and not missing:
         i = plateau[0]
         if i == 0:
             return Violation(None, f"level 1 repeated at the chain root; levels {values}")
-        produced.append(_swap_steps(seq, i))
+        produced.append(_swapped(steps, i))
         if i < m - 1:
-            produced.append(_swap_steps(seq, i + 1))
+            produced.append(_swapped(steps, i + 1))
         else:
-            produced.append(_derived(n, steps[:-1]))
+            produced.append(steps[:-1])
     elif len(missing) == 1 and not plateau:
         i = missing[0]
         val = values[i]
@@ -323,14 +289,14 @@ def neighbors(seq: PermissibleSequence, ctx: AuditContext) -> NeighborOutcome:
                     None,
                     f"append target {val} collides with step {-val} of chain {steps}",
                 )
-            produced.append(_derived(n, steps + (val,)))
+            produced.append(steps + (val,))
         if m > 0:
             if i == 0:
-                produced.append(_derived(n, tuple(-s for s in steps)))
+                produced.append(tuple(-s for s in steps))
             elif i == m:
-                produced.append(_derived(n, steps[:-1]))
+                produced.append(steps[:-1])
             else:
-                produced.append(_swap_steps(seq, i))
+                produced.append(_swapped(steps, i))
     else:
         return Violation(
             None,
@@ -387,7 +353,7 @@ def audit(
             raise AuditAnomaly(f"witness failed re-verification: {v.witness}")
         return v.witness
 
-    prev, cur, steps = None, PermissibleSequence(h.n), 0
+    prev, cur, steps = None, (), 0
     while True:
         outcome = neighbors(cur, ctx)
         if isinstance(outcome, Violation):
@@ -395,7 +361,7 @@ def audit(
         onward = [q for q in outcome if q != prev]
         if prev is not None and len(onward) == len(outcome):
             raise AuditAnomaly(
-                f"walk arrived at {cur.steps} which does not list {prev.steps} as a neighbor"
+                f"walk arrived at {cur} which does not list {prev} as a neighbor"
             )
         if not onward:
             clash = first_clash(kneser_graph(h), c)

@@ -100,14 +100,9 @@ class _AltSearch:
     the ordering of a threshold run, the maximum does too, and the run
     returns None without a walk, exactly as the walk would.  Every
     returned result still comes from a full walk.
-
-    A search built with ``remember=False`` keeps no words.  Sampled
-    ``alt_min`` builds it so: under a random ordering a word seldom reaches
-    the threshold, and the runs it does refute are those whose walk stops
-    early anyway, so checking and storing cost more than they save.
     """
 
-    def __init__(self, h: Hypergraph, k: int, *, remember: bool = True):
+    def __init__(self, h: Hypergraph, k: int):
         if k < 1:
             raise ValueError(f"level k must be positive, got {k}")
         self.h = h
@@ -123,7 +118,7 @@ class _AltSearch:
         # Remembered words as ``bytes.translate`` arguments: a table taking
         # each vertex id to b"R" or b"B", and the ids of its 0 vertices
         # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
-        self._words: list[tuple[bytes, bytes]] | None = [] if remember else None
+        self._words: list[tuple[bytes, bytes]] = []
 
     def _chrom_ok(self, survivors: int) -> bool:
         if self.k == 2:
@@ -190,13 +185,11 @@ class _AltSearch:
         n = self.h.n
         if self.all_feasible:
             return None if threshold is not None and n >= threshold else (n, self.alternating_word())
-        remembering = self._words is not None
-        if remembering and threshold is not None and self._refuted(perm, threshold):
+        if threshold is not None and self._refuted(perm, threshold):
             return None
         limit = n + 1 if threshold is None else threshold
         alt, reds, blues = self._walk(perm, limit)
-        if remembering:
-            self._remember(perm, reds, blues)
+        self._remember(perm, reds, blues)
         return None if alt >= limit else (alt, SignVector(n, reds, blues))
 
     def _walk(self, perm: tuple[int, ...], limit: int) -> tuple[int, int, int]:
@@ -617,7 +610,7 @@ def alt_min(
     """
     n = h.n
     _check_scan(n, samples)
-    search = _AltSearch(h, k, remember=samples is None)
+    search = _AltSearch(h, k)
     mode = "exhaustive" if samples is None else "sampled"
 
     if search.all_feasible:

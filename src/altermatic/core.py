@@ -239,6 +239,8 @@ class SimpleGraph:
     def from_edges(cls, vcount: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
         rows = [0] * vcount
         for a, b in pairs:
+            if not (0 <= a < vcount and 0 <= b < vcount):
+                raise ValueError(f"edge ({a}, {b}) has an end outside 0..{vcount - 1}")
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
             rows[a] |= 1 << b

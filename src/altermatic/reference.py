@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .audit import AuditContext, PermissibleSequence, Violation, neighbors
+from .audit import AuditContext, Violation, neighbors
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, SimpleGraph
 from .coloring import Coloring, chromatic_at_most
 from .kneser import kneser_graph
@@ -131,8 +131,8 @@ class AuditGraphStats:
     candidates: int
     vertex_count: int
     degree_histogram: dict[int, int]
-    violations: list[tuple[PermissibleSequence, Violation]]
-    neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = field(repr=False)
+    violations: list[tuple[tuple[int, ...], Violation]]
+    neighbor_map: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(repr=False)
 
 
 def enumerate_audit_graph(
@@ -161,33 +161,31 @@ def enumerate_audit_graph(
     if total > size_cap:
         raise SearchLimitError(f"{total} candidate chains exceed size cap {size_cap}")
 
-    vertices: list[PermissibleSequence] = []
-    violations: list[tuple[PermissibleSequence, Violation]] = []
+    vertices: list[tuple[int, ...]] = []
+    violations: list[tuple[tuple[int, ...], Violation]] = []
 
-    def grow(steps: tuple[int, ...], values: list[int]) -> None:
-        seq = PermissibleSequence(n, steps)
+    def grow(steps: tuple[int, ...], values: list[int], reds: int, blues: int) -> None:
         if set(steps) <= set(values):
-            vertices.append(seq)
+            vertices.append(steps)
         if len(steps) == n:
             return
-        taken = {abs(s) for s in steps}
         for p in range(1, n + 1):
-            if p in taken:
+            bit = 1 << (p - 1)
+            if (reds | blues) & bit:
                 continue
-            for s in (p, -p):
+            for s, pair in ((p, (reds | bit, blues)), (-p, (reds, blues | bit))):
                 nxt = steps + (s,)
-                reds, blues = PermissibleSequence(n, nxt).pairs()[-1]
-                lv = ctx.level(reds, blues)
+                lv = ctx.level(*pair)
                 if isinstance(lv, Violation):
-                    violations.append((PermissibleSequence(n, nxt), lv))
+                    violations.append((nxt, lv))
                     continue
-                grow(nxt, values + [lv])
+                grow(nxt, values + [lv], *pair)
 
     root = ctx.level(0, 0)
     assert isinstance(root, int)
-    grow((), [root])
+    grow((), [root], 0, 0)
 
-    neighbor_map: dict[PermissibleSequence, tuple[PermissibleSequence, ...]] = {}
+    neighbor_map: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
     degree_histogram: dict[int, int] = {}
     for seq in vertices:
         outcome = neighbors(seq, ctx)

@@ -12,7 +12,6 @@ from altermatic import (
     Coloring,
     Hypergraph,
     LinearOrder,
-    PermissibleSequence,
     ProperWithinBound,
     SearchLimitError,
     SignVector,
@@ -186,38 +185,30 @@ def test_no_antipodal_nesting_under_any_coloring(seed):
     assert high_pairs > 0  # the high band is reached, not only the low one
 
 
-def test_permissible_sequence_validation():
-    PermissibleSequence(4, (1, -3))
-    with pytest.raises(ValueError):
-        PermissibleSequence(4, (1, -1))  # same position twice
-    with pytest.raises(ValueError):
-        PermissibleSequence(4, (5,))  # out of range
-    with pytest.raises(ValueError):
-        PermissibleSequence(4, (0,))
-
-
-def test_pairs_accumulate_steps():
-    seq = PermissibleSequence(4, (2, -4, 1))
-    assert seq.pairs() == [
-        (0, 0),
-        (mask_of([2]), 0),
-        (mask_of([2]), mask_of([4])),
-        (mask_of([1, 2]), mask_of([4])),
-    ]
-
-
 def test_empty_chain_has_unique_neighbor():
     ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
-    out = neighbors(PermissibleSequence(4), ctx)
-    assert [q.steps for q in out] == [(1,)]
+    assert neighbors((), ctx) == [(1,)]
 
 
 def test_singleton_chain_neighbors():
     # levels 1, 2: the missing level 2 appends, and dropping the last step
     # recovers the empty chain, mirroring the base case
     ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
-    out = neighbors(PermissibleSequence(4, (1,)), ctx)
-    assert [q.steps for q in out] == [(1, 2), ()]
+    assert neighbors((1,), ctx) == [(1, 2), ()]
+
+
+def test_neighbors_refuses_malformed_chains():
+    # a step of 0, a position beyond n on either side, a position twice
+    ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
+    for steps in ((0,), (5,), (-5,), (1, -1), (2, 3, 2)):
+        with pytest.raises(ValueError):
+            neighbors(steps, ctx)
+    # also after a level tie: the sides {1, 3} and {2, 4} both enclose a
+    # color-1 edge
+    ones = ctx_for(PAIRS4, ONES4)
+    assert neighbors((1, -2, 3, -4), ones).witness is not None
+    with pytest.raises(ValueError):
+        neighbors((1, -2, 3, -4, 1), ones)
 
 
 def neighbor_census(h, coloring, k=1):
@@ -230,10 +221,10 @@ def neighbor_census(h, coloring, k=1):
         for q in ns:
             back = neighbors(q, ctx)
             if isinstance(back, Violation):
-                assert back.witness is not None, (seq.steps, q.steps, back.detail)
+                assert back.witness is not None, (seq, q, back.detail)
                 assert verify_witness(back.witness, h, coloring)
             else:
-                assert seq in back, (seq.steps, q.steps)
+                assert seq in back, (seq, q)
     return stats
 
 
@@ -251,9 +242,7 @@ def neighbor_census(h, coloring, k=1):
 def test_neighbor_symmetry_exhaustive(h, colorize):
     c = optimal_coloring(h) if colorize == "proper" else Coloring((1,) * len(h.edges), 1)
     stats = neighbor_census(h, c)
-    empties = [s for s in stats.neighbor_map if s.length == 0]
-    assert len(empties) == 1
-    assert [q.steps for q in stats.neighbor_map[empties[0]]] == [(1,)]
+    assert stats.neighbor_map[()] == ((1,),)
 
 
 def test_neighbor_symmetry_level_two():
@@ -276,9 +265,8 @@ def test_audit_graph_empty_edge_set():
     h = Hypergraph(3, ())
     stats = enumerate_audit_graph(h, Coloring((), 0), 1)
     assert not stats.violations
-    empty = [s for s in stats.neighbor_map if s.length == 0]
     assert stats.degree_histogram[1] >= 1
-    assert len(stats.neighbor_map[empty[0]]) == 1
+    assert len(stats.neighbor_map[()]) == 1
 
 
 def test_audit_graph_size_cap():
@@ -427,9 +415,9 @@ def test_audit_random_instances_random_orderings():
 
 @pytest.mark.parametrize("m, r", [(8, 2), (9, 3)])
 def test_walk_chains_and_peaks_on_regime_colorings(m, r):
-    # neighbors builds its chains without re-running the validating
-    # constructor, and _peak_of stops at the first edge of a presorted list;
-    # both must agree with the plain definitions along whole walks
+    # every chain neighbors produces holds distinct positions within
+    # +-1..n, and _peak_of, which stops at the first edge of a presorted
+    # list, agrees with the plain definition along whole walks
     h = complete_uniform(m, r)
     palette = m - (2 * r - 2) - 1  # n - alt - 1 at k = 1, alt = 2r - 2
     ties = 0
@@ -437,13 +425,13 @@ def test_walk_chains_and_peaks_on_regime_colorings(m, r):
         rng = random.Random(seed)
         c = Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
         ctx = ctx_for(h, c)
-        prev, cur = None, PermissibleSequence(h.n)
+        prev, cur = None, ()
         while True:
             outcome = neighbors(cur, ctx)
             if isinstance(outcome, Violation):
                 break
             for q in outcome:
-                assert q == PermissibleSequence(h.n, q.steps)
+                assert all(0 < abs(s) <= h.n for s in q) and len({abs(s) for s in q}) == len(q), q
             onward = [q for q in outcome if q != prev]
             assert onward, "a regime coloring walk ends in a violation"
             prev, cur = cur, onward[0]

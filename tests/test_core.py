@@ -9,6 +9,7 @@ from altermatic import (
     Hypergraph,
     LinearOrder,
     SignVector,
+    SimpleGraph,
     alt,
     apply_order,
     complete_uniform,
@@ -190,6 +191,13 @@ def test_hypergraph_validation():
         Hypergraph(0, ())
 
 
+def test_simple_graph_from_edges_refuses_out_of_range_ids():
+    for pair in ((0, 3), (3, 0), (-1, 2), (1, -3)):
+        with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\) has an end outside 0\.\.2"):
+            SimpleGraph.from_edges(3, [(0, 1), pair])
+    assert SimpleGraph.from_edges(3, [(0, 2), (2, 1)]).rows == (0b100, 0b100, 0b011)
+
+
 def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(3, reds=1, blues=1)  # overlap
@@ -216,7 +224,7 @@ def test_vertex_cap_bounds_hypergraphs_and_sign_vectors():
 
 PUBLIC_API = [
     "AltReport", "AuditAnomaly", "AuditContext", "ChromaticResult", "Coloring",
-    "Hypergraph", "LinearOrder", "ParseError", "PermissibleSequence",
+    "Hypergraph", "LinearOrder", "ParseError",
     "ProperWithinBound", "SearchLimitError", "SignVector",
     "SimpleGraph", "TheoremCheck", "Violation", "Witness",
     "alt", "alt_min", "alt_sigma", "apply_order", "audit", "chromatic_at_most",
