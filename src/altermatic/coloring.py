@@ -50,17 +50,17 @@ class ChromaticResult(NamedTuple):
 
 
 def first_clash(g: SimpleGraph, c: Coloring) -> tuple[int, int] | None:
-    """Lexicographically first adjacent pair (i, j), i < j, sharing a color."""
+    """Lexicographically first adjacent pair (i, j), i < j, sharing a color:
+    i is the least vertex with such a neighbor, so j is its least one."""
     if len(c.assignment) != g.vcount:
         raise ValueError(f"coloring has {len(c.assignment)} entries for {g.vcount} vertices")
+    same: dict[int, int] = {}  # one vertex mask per color used
+    for i, color in enumerate(c.assignment):
+        same[color] = same.get(color, 0) | 1 << i
     for i, row in enumerate(g.rows):
-        m = row >> (i + 1) << (i + 1)  # the neighbors after i
-        while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
-            if c.assignment[i] == c.assignment[j]:
-                return i, j
+        m = row & same[c.assignment[i]]
+        if m:
+            return i, (m & -m).bit_length() - 1
     return None
 
 

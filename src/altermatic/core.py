@@ -208,8 +208,8 @@ class Hypergraph:
 class SimpleGraph:
     """An undirected simple graph; ``rows[i]`` is the neighbor mask of vertex i.
 
-    Vertices are 0-based here (they typically index hyperedges of some
-    hypergraph).  No loops, symmetric adjacency.
+    Vertices are 0-based, often hyperedges.  No loops, symmetric adjacency: checked
+    by ``SimpleGraph(...)`` and ``from_edges``, true by construction in ``kneser_graph``.
     """
 
     vcount: int
@@ -227,13 +227,9 @@ class SimpleGraph:
             if (row >> i) & 1:
                 raise ValueError(f"loop at vertex {i}")
         for i, row in enumerate(self.rows):
-            m = row
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if not (self.rows[j] >> i) & 1:
-                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+            for j in vertices_of(row):
+                if not (self.rows[j - 1] >> i) & 1:
+                    raise ValueError(f"adjacency not symmetric at ({i}, {j - 1})")
 
     @classmethod
     def from_edges(cls, vcount: int, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -253,6 +249,13 @@ class SimpleGraph:
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
+
+
+def _trusted_graph(rows: tuple[int, ...]) -> SimpleGraph:
+    # No __post_init__; kneser_graph's rows only: test_kneser_rows_and_incidence_match_the_definitions.
+    g = object.__new__(SimpleGraph)
+    g.__dict__.update(vcount=len(rows), rows=rows)
+    return g
 
 
 def alt_masks(n: int, reds: int, blues: int) -> int:

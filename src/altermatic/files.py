@@ -9,7 +9,7 @@ vertex indices, so round-tripping preserves it exactly.
 
 Coloring files: one positive integer per significant line; line i colors
 hyperedge i in the hypergraph's file order.  The palette is the maximum
-value present.
+value present.  Numbers in both formats are ASCII digits, optionally signed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ def _significant_lines(text: str):
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            yield number, body
+            yield number, body  # checked once the caller accepts it, so its messages come first
+            if "_" in body or not (body.isascii() or "".join(body.split()).isascii()):
+                raise ParseError(f"numbers are an optional sign and ASCII digits, got {body!r}", number)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

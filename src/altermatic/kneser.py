@@ -17,16 +17,16 @@ from itertools import combinations
 from math import comb
 
 from .coloring import Coloring
-from .core import Hypergraph, SimpleGraph, mask_of, vertices_of
+from .core import Hypergraph, SimpleGraph, _trusted_graph, mask_of, vertices_of
 
 
 def kneser_graph(h: Hypergraph) -> SimpleGraph:
     """Graph on the hyperedges of ``h``; i ~ j iff edges i and j are disjoint.
 
-    Nonempty edges are never disjoint from themselves, so there are no
-    loops.  An empty edge list gives the empty graph.
+    Disjointness is symmetric and no nonempty edge misses itself, so the rows
+    skip ``SimpleGraph``'s checks.  An empty edge list gives the empty graph.
     """
-    return SimpleGraph(len(h.edges), h.kneser_rows)
+    return _trusted_graph(h.kneser_rows)
 
 
 def cut_coloring(h: Hypergraph) -> Coloring:

@@ -38,6 +38,9 @@ def test_is_proper_basics():
     assert first_clash(two_clashes, Coloring((1, 2, 2, 1), 2)) == (0, 3)
     with pytest.raises(ValueError):
         first_clash(g, Coloring((1, 2), 2))
+    # Masks are kept per color used, so a huge color value costs nothing.
+    assert first_clash(g, Coloring((1, 10**12, 1), 10**12)) is None
+    assert first_clash(g, Coloring((1, 10**12, 10**12), 10**12)) == (1, 2)
 
 
 def test_petersen_coloring_roundtrip():

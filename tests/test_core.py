@@ -198,6 +198,24 @@ def test_simple_graph_from_edges_refuses_out_of_range_ids():
     assert SimpleGraph.from_edges(3, [(0, 2), (2, 1)]).rows == (0b100, 0b100, 0b011)
 
 
+def test_simple_graph_refuses_rows_it_cannot_trust():
+    # Only kneser_graph skips these checks; rows from callers get them all.
+    for vcount, rows, message in (
+        (2, (0b10, 0b00), r"not symmetric at \(0, 1\)"),
+        (3, (0b010, 0b101, 0b110), "loop at vertex 2"),
+        (2, (0b110, 0b001), "row 0 mentions vertices out of range"),
+        (2, (0b10, 0b100), "row 1 mentions vertices out of range"),  # before (0, 1)
+        (3, (0b10, 0b01), "row count differs"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SimpleGraph(vcount, rows)
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        SimpleGraph.from_edges(3, [(0, 2), (1, 1), (0, 5)])
+    with pytest.raises(ValueError):
+        SimpleGraph.from_edges(-1, [])
+    assert SimpleGraph(3, (0b010, 0b101, 0b010)).edge_count == 2
+
+
 def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(3, reds=1, blues=1)  # overlap

@@ -70,6 +70,27 @@ def test_parse_non_integer_tokens_name_their_line():
         parse_coloring("1\n\nx\n", 2)
     assert err.value.line == 3
     assert "color 'x' is not an integer" in str(err.value)
+    # int() alone reads '1_0' as 10 and the Arabic-Indic digit four as 4.
+    for text, line, parse in (
+        ("n 1_0\n1 2\n", 1, parse_hypergraph),
+        ("n 4\n3 \u0664\n", 2, parse_hypergraph),
+        ("1\n1_0\n", 2, lambda t: parse_coloring(t, 2)),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert "numbers are an optional sign and ASCII digits" in str(err.value)
+    # Lines refused on other grounds keep their messages.
+    for text, message in (
+        ("n_4\n1 2\n", "line 1: expected 'n <count>' header"),
+        ("n 4\nx_1\n", "line 2: edge line is not whitespace-separated integers"),
+        ("n 4\n5 \u0664\n", "line 2: vertex 5 outside 1..4"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_hypergraph(text)
+    with pytest.raises(ParseError, match="line 2: more colors than the 1 hyperedges"):
+        parse_coloring("1\n1_0\n", 1)
+    assert parse_hypergraph("n 3 # \u0664\n+1 2\u00a03\n").edge_sets() == ((1, 2, 3),)
 
 
 def test_parse_missing_header():

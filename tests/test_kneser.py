@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from altermatic import (
     Hypergraph,
+    SimpleGraph,
     complete_uniform,
     is_proper,
     kneser_graph,
@@ -88,6 +89,10 @@ def test_kneser_rows_and_incidence_match_the_definitions(instance):
     for p, row in enumerate(h.incidence):
         for i, e in enumerate(edges):
             assert bool(row >> i & 1) == bool(e >> p & 1), (p, i)
+    # kneser_graph skips SimpleGraph's checks on these rows; they pass them.
+    g = kneser_graph(h)
+    assert type(g) is SimpleGraph
+    assert g == SimpleGraph(m, h.kneser_rows)
 
 
 def cut_coloring_by_definition(edges: list[int]) -> tuple[int, ...]:
