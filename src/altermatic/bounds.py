@@ -24,7 +24,7 @@ from itertools import combinations, islice, permutations
 from operator import or_
 
 from .core import Hypergraph, LinearOrder, SignVector, vertices_of
-from .coloring import ChromaticResult, Coloring, chromatic_at_most, chromatic_number
+from .coloring import chromatic_at_most, chromatic_number
 from .kneser import kneser_graph
 
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
@@ -76,7 +76,6 @@ class TheoremCheck:
     holds: bool
     tight: bool
     report: AltReport
-    coloring: Coloring
 
 
 class _AltSearch:
@@ -90,7 +89,11 @@ class _AltSearch:
     ``h.kneser_rows``; a set is feasible when no survivor's clash mask
     meets it.  At k >= 3 the answer comes from ``chromatic_at_most`` on
     the survivors' Kneser graph, memoized on the set, since the same sets
-    recur across branches and across orderings.
+    recur across branches and across orderings.  That coloring question
+    is asked only for survivor sets that a walk or ``_free_floor``
+    reaches, never up front for the whole of H: where the word that
+    alternates along the whole ordering is feasible, the walk's first
+    descent reaches alt = n in n nodes.
 
     The search also remembers the last ``REMEMBERED_WORDS`` feasible words
     its walks ended on, by vertex rather than by slot, newest first.
@@ -111,10 +114,6 @@ class _AltSearch:
         self._chrom: dict[int, bool] = {}
         if k == 2:
             self._clash = h.kneser_rows
-        # True when even the all-surviving edge set fits the budget, in
-        # which case every sign word is feasible and alt = n outright; at
-        # k = 2 that is when H is an intersecting family.
-        self.all_feasible = not h.edges or k > 1 and self._chrom_ok((1 << len(h.edges)) - 1)
         # Remembered words as ``bytes.translate`` arguments: a table taking
         # each vertex id to b"R" or b"B", and the ids of its 0 vertices
         # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
@@ -137,14 +136,6 @@ class _AltSearch:
             cached = chromatic_at_most(kneser_graph(Hypergraph(self.h.n, edges)), self.k - 1)
             self._chrom[survivors] = cached
         return cached
-
-    def alternating_word(self) -> SignVector:
-        n = self.h.n
-        return SignVector(
-            n,
-            sum(1 << p for p in range(0, n, 2)),
-            sum(1 << p for p in range(1, n, 2)),
-        )
 
     def _refuted(self, perm: tuple[int, ...], threshold: int) -> bool:
         """Whether a remembered word reaches alt >= threshold under ``perm``."""
@@ -183,8 +174,6 @@ class _AltSearch:
         remembered.
         """
         n = self.h.n
-        if self.all_feasible:
-            return None if threshold is not None and n >= threshold else (n, self.alternating_word())
         if threshold is not None and self._refuted(perm, threshold):
             return None
         limit = n + 1 if threshold is None else threshold
@@ -590,13 +579,14 @@ def alt_min(
     stop changes no report.
 
     - The theorem's floor, max(0, n + k - 1 - ``ceiling``), in either
-      mode.  A scan only runs when some word is infeasible, that is when
-      KG(H) is not (k-1)-colorable, so chi >= k and the theorem gives
-      chi >= n - alt + k - 1 for every ordering: no ordering has alt
-      below n + k - 1 - chi.  ``ceiling`` must be a proven upper bound on
-      chi, such as ``coloring.greedy_color_count`` of ``kneser_graph(h)``;
-      never pass a bound derived from the altermatic bound itself.
-      Without it this floor is 0.
+      mode.  When some word is infeasible, KG(H) is not (k-1)-colorable,
+      so chi >= k and the theorem gives chi >= n - alt + k - 1 for every
+      ordering: no ordering has alt below n + k - 1 - chi.  Otherwise
+      every ordering has alt n, and the identity's report is the one a
+      full scan gives, wherever the scan stops.  ``ceiling`` must be a
+      proven upper bound on chi, such as ``coloring.greedy_color_count``
+      of ``kneser_graph(h)``; never pass a bound derived from the
+      altermatic bound itself.  Without it this floor is 0.
     - The free floor, in exhaustive mode only, since its search over
       vertex sets is exponential in n: the largest size of a vertex set S
       whose one-sided word (R = S, B = 0) is feasible.  Every word
@@ -612,9 +602,6 @@ def alt_min(
     _check_scan(n, samples)
     search = _AltSearch(h, k)
     mode = "exhaustive" if samples is None else "sampled"
-
-    if search.all_feasible:
-        return AltReport(n, search.alternating_word(), LinearOrder.identity(n), k, mode)
 
     # both scans start at the identity, so the free floor and the symmetry
     # of H are searched for only when the scan goes on past it
@@ -680,17 +667,10 @@ def verify_theorem(h: Hypergraph, k: int, *, samples: int | None = None, seed: i
     if k < 1:
         raise ValueError(f"level k must be positive, got {k}")
     _check_scan(h.n, samples)
-    chi: ChromaticResult = chromatic_number(kneser_graph(h))
-    if k > chi.number + 1:
-        raise ValueError(f"level k={k} exceeds chi+1 = {chi.number + 1}")
+    chi = chromatic_number(kneser_graph(h)).number
+    if k > chi + 1:
+        raise ValueError(f"level k={k} exceeds chi+1 = {chi + 1}")
     report = alt_min(h, k, samples=samples, seed=seed)
-    holds = chi.number >= report.bound
-    tight = chi.number == report.bound
     return TheoremCheck(
-        bound=report.bound,
-        chi=chi.number,
-        holds=holds,
-        tight=tight,
-        report=report,
-        coloring=chi.coloring,
+        bound=report.bound, chi=chi, holds=chi >= report.bound, tight=chi == report.bound, report=report
     )

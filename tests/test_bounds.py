@@ -67,9 +67,27 @@ def test_alt_sigma_pairs_families():
 
 def test_alt_sigma_empty_edges_is_n():
     h = Hypergraph(5, ())
-    rep = alt_sigma(h, LinearOrder.identity(5), 1)
-    assert rep.alt_value == 5
-    assert alt(rep.witness) == 5
+    order = LinearOrder.identity(5)
+    rep = alt_sigma(h, order, 1)
+    assert rep.alt_value == 5 == reference.alt_sigma_by_enumeration(h, order, 1)
+    assert rep.witness.word() == "RBRBR"
+
+
+def test_level_seven_on_kg_12_3_colours_no_whole_kneser_graph(monkeypatch):
+    # the alternating word is feasible at k = 7 (its survivors' Kneser
+    # graph is 4-colorable), so the walk's first descent reaches alt 12;
+    # refuting that all 220 vertices of KG(12,3) are 6-colorable took
+    # about 20 s, and no search needs that answer
+    decide = coloring_module._decide
+
+    def refusing(g, t):
+        if g.vcount == 220:
+            raise AssertionError(f"asked to {t}-colour the whole Kneser graph")
+        return decide(g, t)
+
+    monkeypatch.setattr(coloring_module, "_decide", refusing)
+    rep = alt_sigma(complete_uniform(12, 3), LinearOrder.identity(12), 7)
+    assert (rep.alt_value, rep.witness.word(), rep.bound) == (12, "RBRBRBRBRBRB", 6)
 
 
 def test_alt_sigma_witness_is_feasible():
@@ -182,16 +200,15 @@ def test_level_two_feasibility_matches_the_coloring_scan(instance):
     h, order, words = instance
     n, full = h.n, (1 << h.n) - 1
     search = bounds._AltSearch(h, 2)
-    assert search.all_feasible == reference.feasible_by_scan(h, full, 0, 2)
-    if all(e & 1 for e in h.edges):
-        assert search.all_feasible
     for reds, blues in words:
         survivors = sum(1 << i for i, e in enumerate(h.edges) if e & ~reds == 0 or e & ~blues == 0)
         assert search._chrom_ok(survivors) == reference.feasible_by_scan(h, reds, blues, 2), (reds, blues)
     # the walk grows survivor sets edge by edge on the same masks
     alt_value = search.run(order.perm)[0]
     assert alt_value == alt_sigma(h, order, 2).alt_value == reference.alt_sigma_by_enumeration(h, order, 2)
-    if search.all_feasible:
+    # where every word is feasible, as for an intersecting family, the
+    # walk reaches every slot
+    if reference.feasible_by_scan(h, full, 0, 2) or all(e & 1 for e in h.edges):
         assert alt_value == n
 
 
@@ -348,11 +365,17 @@ def test_alt_min_golden_reports():
 
 
 def test_alt_min_at_level_chi_plus_one():
-    for h in (complete_uniform(4, 2), complete_uniform(5, 2)):
+    # every word is feasible: an edgeless H at k = 1, an intersecting
+    # family at k = 2 and KG(m,2) at chi + 1; the scan stops at the
+    # identity, whose walk ends on the alternating word
+    for h in (Hypergraph(4, ()), complete_uniform(5, 3), complete_uniform(4, 2), complete_uniform(5, 2)):
         chi = chromatic_number(kneser_graph(h)).number
+        identity = LinearOrder.identity(h.n)
         rep = alt_min(h, chi + 1)
-        assert rep.alt_value == h.n
+        assert (rep.alt_value, rep.sigma, rep.witness.word()) == (h.n, identity, "RBRBR"[: h.n])
+        assert rep.alt_value == reference.alt_sigma_by_enumeration(h, identity, chi + 1)
         assert rep.bound == chi
+        assert alt_sigma(h, identity, chi + 1).witness == rep.witness
 
 
 def test_alt_min_empty_edges():
@@ -361,7 +384,7 @@ def test_alt_min_empty_edges():
     assert rep.alt_value == 4
     assert rep.bound == 0
     assert chromatic_number(kneser_graph(h)).number == 0
-    # a sample count below 1 is refused also where no ordering is scanned:
+    # a sample count below 1 is refused also where every word is feasible:
     # here, and for an intersecting family at k = 2
     for g, k, samples in ((h, 1, 0), (complete_uniform(9, 5), 2, -1)):
         with pytest.raises(ValueError, match="sample count must be positive"):
@@ -374,12 +397,15 @@ def test_alt_min_exhaustive_cap():
         alt_min(h, 1)  # 9! exceeds the default factorial cap
     rep = alt_min(h, 1, samples=8, seed=0)
     assert rep.sigma_mode == "sampled"
-    # the cap holds also where every word is feasible and no ordering
-    # would be scanned: edgeless, and an intersecting family at k = 2
+    # the cap holds also where every word is feasible and the identity
+    # alone settles the minimum: edgeless, and an intersecting family at
+    # k = 2.  A sampled scan walks its shuffles and keeps the identity
     for g, k in ((Hypergraph(9, ()), 1), (complete_uniform(9, 5), 2)):
         with pytest.raises(ValueError, match="cap"):
             alt_min(g, k)
-        assert alt_min(g, k, samples=1).alt_value == 9
+        for samples in (1, 4):
+            rep = alt_min(g, k, samples=samples)
+            assert (rep.alt_value, rep.sigma, rep.witness.word()) == (9, LinearOrder.identity(9), "RBRBRBRBR")
 
 
 def test_refused_scans_colour_nothing(monkeypatch):
