@@ -176,7 +176,7 @@ def _cmd_chromatic(args) -> int:
         clique = len(greedy_clique(g))
         upper = cut_coloring(h)
         seed, level, _ = seed_bound(h, clique=clique, ceiling=upper.palette)
-        result = chromatic_number(g, lower=seed, upper=upper)
+        result = chromatic_number(g, lower=max(seed, clique), upper=upper)
         report["chi"] = result.number
         report["chi_proof"] = _chi_proof(result.number, clique, seed, level)
         report["coloring"] = result.coloring.assignment

@@ -187,15 +187,19 @@ def chromatic_at_most(g: SimpleGraph, t: int) -> bool:
     return _decide(g, t) is not None
 
 
-def chromatic_number(g: SimpleGraph, *, lower: int = 1, upper: Coloring | None = None) -> ChromaticResult:
+def chromatic_number(
+    g: SimpleGraph, *, lower: int | None = None, upper: Coloring | None = None
+) -> ChromaticResult:
     """Least color count with a witness coloring that attains it.
 
-    Runs the exact decision for t = max(greedy clique size, ``lower``, 1),
-    t + 1, ... and returns the first budget that succeeds; a budget of one
-    color per vertex always does.  ``lower`` must be a proven lower bound
-    on the chromatic number, such as an altermatic bound: the rungs below
-    it are never tried.  ``upper``, when given, must be a proper coloring
-    of ``g``, such as ``kneser.cut_coloring``: the ladder ends at its
+    Runs the exact decision for t = max(``lower``, 1), t + 1, ... and
+    returns the first budget that succeeds; a budget of one color per
+    vertex always does.  ``lower`` must be a proven lower bound on the
+    chromatic number, such as an altermatic bound: the rungs below it are
+    never tried.  Without ``lower`` the ladder starts at the greedy clique
+    size; a caller that holds that clique passes the larger of the two, so
+    that it is not grown twice.  ``upper``, when given, must be a proper
+    coloring of ``g``, such as ``kneser.cut_coloring``: the ladder ends at its
     palette, where it returns ``upper`` itself without deciding.  Else the
     witness is the decision's coloring at the returned budget, which does
     not depend on ``lower``.  Since every smaller budget fails, the
@@ -209,7 +213,7 @@ def chromatic_number(g: SimpleGraph, *, lower: int = 1, upper: Coloring | None =
         raise ValueError(f"upper coloring has {len(upper.assignment)} entries for {g.vcount} vertices")
     if g.vcount == 0:
         return ChromaticResult(0, Coloring((), 0))
-    t = max(len(greedy_clique(g)), lower, 1)
+    t = max(len(greedy_clique(g)) if lower is None else lower, 1)
     if upper is not None and upper.palette < t:
         raise ValueError(f"upper coloring uses {upper.palette} colors, below the first rung {t}")
     while upper is None or t < upper.palette:

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 from itertools import combinations, islice, permutations, product
 
 import pytest
@@ -155,6 +156,66 @@ def test_alt_sigma_matches_enumeration_on_dense_and_sparse_inputs(instance):
     rep = alt_sigma(h, order, k)
     assert rep.alt_value == reference.alt_sigma_by_enumeration(h, order, k)
     assert (rep.alt_value, rep.witness) == first_optimal_word(h, order, k)
+
+
+def _level_one_inputs(rng, count):
+    """(h, order): seeded random inputs on up to 8 vertices under shuffled
+    orderings, in three kinds in turn: mixed edge sizes with one-vertex
+    edges, dense 2-uniform inputs and sparse 2- and 3-subsets."""
+    for i in range(count):
+        n = rng.randint(1, 8)
+        if i % 3 == 0:
+            edges = {1 << rng.randrange(n) for _ in range(rng.randint(0, 2))}
+            edges |= {rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 2 * n))}
+        elif i % 3 == 1:
+            edges = {mask_of(c) for c in combinations(range(1, n + 1), 2) if rng.random() < 0.7}
+        else:
+            sizes = [s for s in (2, 3) if s <= n] or [n]
+            edges = {mask_of(rng.sample(range(1, n + 1), rng.choice(sizes))) for _ in range(n)}
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        yield Hypergraph(n, tuple(sorted(edges))), LinearOrder(tuple(perm))
+
+
+def test_side_ceiling_at_level_one_matches_enumeration():
+    # the k = 1 walk cuts a branch when no run of later slots, each on a
+    # side that no edge blocks it from, can beat the best word; that cut
+    # changes no maximum, no witness and no threshold decision
+    for h, order in _level_one_inputs(random.Random(33), 300):
+        rep = alt_sigma(h, order, 1)
+        assert rep.alt_value == reference.alt_sigma_by_enumeration(h, order, 1), (h, order)
+        assert (rep.alt_value, rep.witness) == first_optimal_word(h, order, 1), (h, order)
+        for t in range(h.n + 2):
+            outcome = bounds._AltSearch(h, 1).run(order.perm, t)
+            assert outcome == (None if rep.alt_value >= t else (rep.alt_value, rep.witness)), (h, order, t)
+
+
+def _walk_nodes(h, k):
+    """Nodes that ``_AltSearch._walk`` visits for ``alt_sigma`` at the
+    identity: calls of its inner ``walk``, counted by a profile hook."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "walk" and frame.f_code.co_filename == bounds.__file__:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        alt_sigma(h, LinearOrder.identity(h.n), k)
+    finally:
+        sys.setprofile(previous)
+    return nodes
+
+
+def test_side_ceiling_cuts_the_level_one_walk():
+    # machine-independent work count, both passes of the walk: without the
+    # side ceiling KG(12,3) took 1,798 nodes and the random input (that of
+    # ``gen random -n 30 -e 200 --sizes 2..3 --seed 1``) 282,088; with it
+    # 356 and 13,605 at the time of writing
+    assert _walk_nodes(complete_uniform(12, 3), 1) <= 400
+    assert _walk_nodes(random_hypergraph(30, 200, (2, 3), 1), 1) <= 15_000
 
 
 def test_alt_sigma_on_kg_16_5():
@@ -399,7 +460,7 @@ def test_alt_min_exhaustive_cap():
     assert rep.sigma_mode == "sampled"
     # the cap holds also where every word is feasible and the identity
     # alone settles the minimum: edgeless, and an intersecting family at
-    # k = 2.  A sampled scan walks its shuffles and keeps the identity
+    # k = 2.  A sampled scan stops at the identity
     for g, k in ((Hypergraph(9, ()), 1), (complete_uniform(9, 5), 2)):
         with pytest.raises(ValueError, match="cap"):
             alt_min(g, k)
@@ -883,6 +944,50 @@ def test_sampled_alt_min_draws_orderings_lazily():
     h = Hypergraph.from_edge_sets(3, [[1], [2], [3]])
     rep = alt_min(h, 1, samples=10**12)
     assert (rep.alt_value, rep.sigma.perm, rep.sigma_mode) == (0, (1, 2, 3), "sampled")
+
+
+def test_sampled_scan_stops_at_the_identity_where_every_word_is_feasible(monkeypatch):
+    # at k <= 2 a sampled scan whose identity reaches alt n asks whether
+    # the whole vertex set is free: H edgeless at k = 1, its edges
+    # pairwise intersecting at k = 2.  If so, every ordering has alt n and
+    # no shuffle is run.  At k >= 3 that question would colour the whole
+    # Kneser graph, so it is never asked, and the shuffles are run
+    runs = []
+    run, decide = bounds._AltSearch.run, coloring_module._decide
+
+    def counting_run(self, perm, threshold=None):
+        runs.append(perm)
+        return run(self, perm, threshold)
+
+    def refusing(g, t):
+        if g.vcount in (6, 220):
+            raise AssertionError(f"asked to {t}-colour the whole Kneser graph")
+        return decide(g, t)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting_run)
+    monkeypatch.setattr(coloring_module, "_decide", refusing)
+    star = Hypergraph.from_edge_sets(9, [[1, 2], [1, 3], [1, 4], [2, 3, 4]])
+    path = Hypergraph.from_edge_sets(5, [[1, 2], [2, 3]])
+    for h, k in ((Hypergraph(9, ()), 1), (star, 2), (complete_uniform(9, 5), 2), (path, 2)):
+        runs.clear()
+        rep = alt_min(h, k, samples=4)
+        assert (rep.alt_value, rep.sigma, rep.sigma_mode) == (h.n, LinearOrder.identity(h.n), "sampled")
+        assert rep.witness.word() == "RBRBRBRBR"[: h.n]
+        assert runs == [rep.sigma.perm]
+    # the alternating word is feasible, but not every word: the scan goes
+    # on, and a shuffle goes below alt n
+    h = Hypergraph.from_edge_sets(5, [[1, 2]])
+    runs.clear()
+    rep = alt_min(h, 1, samples=6)
+    scanned = list(runs)
+    assert len(scanned) == 7
+    assert rep.alt_value == min(alt_sigma(h, LinearOrder(p), 1).alt_value for p in scanned) == 4
+    # KG(4,2) at chi + 1 = 3 and KG(12,3) at k = 7: every shuffle is run
+    for h, k in ((complete_uniform(4, 2), 3), (complete_uniform(12, 3), 7)):
+        runs.clear()
+        rep = alt_min(h, k, samples=2)
+        assert (rep.alt_value, rep.sigma, rep.witness.word()) == (h.n, LinearOrder.identity(h.n), "RB" * (h.n // 2))
+        assert len(runs) == 3
 
 
 def test_lower_bound_arithmetic():

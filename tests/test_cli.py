@@ -178,16 +178,32 @@ def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch,
     ],
     ids=["KG(4,2)", "R(6,12)", "R(6,10)"],
 )
-def test_chi_proof_names_clique_or_search(capsys, tmp_path, h, chi, proof):
+def test_chi_proof_names_clique_or_search(capsys, tmp_path, monkeypatch, h, chi, proof):
     # the clique, or a shuffled ordering's altermatic bound (R(6,12): the
     # identity gives 3), or else the exact search: R(6,10) needs it, since
-    # its least alt over all orderings gives 3 at both k = 1 and k = 2
+    # its least alt over all orderings gives 3 at both k = 1 and k = 2.
+    # The command passes max(seed, clique) to the ladder as its proven
+    # lower bound, so outside the decision procedure, which grows a clique
+    # of its own per rung, the greedy clique is grown once per request
+    grown = []
+    real = coloring.greedy_clique
+
+    def counting(g):
+        if sys._getframe(1).f_code.co_name != "_decide":
+            grown.append(g.vcount)
+        return real(g)
+
+    monkeypatch.setattr(coloring, "greedy_clique", counting)
+    monkeypatch.setattr(cli, "greedy_clique", counting)
     path = tmp_path / "h.hg"
     path.write_text(serialize_hypergraph(h))
     code, out, _ = run(capsys, "chromatic", "-H", str(path), "--json")
     rep = json.loads(out)
     assert (code, rep["chi"], rep["chi_proof"]) == (0, chi, proof)
     assert list(rep)[list(rep).index("chi") + 1] == "chi_proof"
+    assert grown == [len(h.edges)]
+    assert is_proper(kneser_graph(h), Coloring(tuple(rep["coloring"]), chi))
+    assert max(rep["coloring"]) == chi
 
 
 def test_chromatic_writes_witness_file(capsys, tmp_path):
