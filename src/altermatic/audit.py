@@ -79,6 +79,13 @@ class AuditContext:
     ``alt_value``, the feasibility ceiling for the ordering (identity when
     omitted), comes from ``bounds.alt_sigma``, which also rejects a
     non-positive ``k`` and an ordering of the wrong length.
+
+    Besides the level and peak caches, it carries the last chain that
+    ``neighbors`` answered: its prefix pairs (reds, blues), its levels,
+    and each chain that call produced with the one pair index it changes
+    (0 for a mirror).  A walk step asks for one of those chains, so it
+    levels one new pair instead of every prefix; the lists are updated in
+    place.
     """
 
     def __init__(self, h: Hypergraph, c: Coloring, k: int, order: LinearOrder | None = None):
@@ -101,6 +108,7 @@ class AuditContext:
         self._by_peak = [(h.edges[i], (c.assignment[i], i)) for i in ranked]
         self._peaks: dict[int, tuple[int, int | None]] = {}
         self._level: dict[tuple[int, int], LevelOutcome] = {}
+        self._last: tuple[list[int], list[int], list[int], dict[tuple[int, ...], int]] = ([], [], [], {})
 
     def vertex_mask(self, position_mask: int) -> int:
         out = 0
@@ -233,54 +241,106 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
     turn: the first level tie along ``steps``, a step missing from its
     levels, and any failure of the dichotomy comes back as a ``Violation``
     - with a witness whenever the failure certifies the coloring improper.
+
+    A chain produced by the last call on ``ctx`` is levelled from that
+    call's prefix pairs (see ``AuditContext``): a swap or an append levels
+    its one new prefix, a drop none, a mirror every prefix in order.  Its
+    steps need no check, as they are valid by construction: swaps, drops
+    and mirrors keep the positions, and an append adds a nonzero level
+    within 1..n in absolute value whose position is checked to be free.
+    Any other chain is levelled and checked from scratch.
     """
     n = ctx.n
     m = len(steps)
     level = ctx.level
-    # level every prefix pair, the empty one (level 1) first, and check
-    # every step, also those after the first tie
-    values = [level(0, 0)]
+    reds, blues, values, made = ctx._last
+    j = made.get(steps)
+    made.clear()  # the lists now describe ``steps``, or nothing reuses them
     tie = None
-    reds = blues = 0
-    for s in steps:
-        p = abs(s)
-        if not 0 < p <= n:
-            raise ValueError(f"step {s} outside signed range 1..{n}")
-        bit = 1 << (p - 1)
-        if (reds | blues) & bit:
-            raise ValueError(f"position {p} inserted twice")
-        if s > 0:
-            reds |= bit
-        else:
-            blues |= bit
-        if tie is None:
-            lv = level(reds, blues)
+    if j is None:
+        # level every prefix pair, the empty one (level 1) first, and check
+        # every step, also those after the first tie
+        reds, blues, values = [0], [0], [level(0, 0)]
+        ctx._last = (reds, blues, values, made)
+        r = b = 0
+        for s in steps:
+            p = abs(s)
+            if not 0 < p <= n:
+                raise ValueError(f"step {s} outside signed range 1..{n}")
+            bit = 1 << (p - 1)
+            if (r | b) & bit:
+                raise ValueError(f"position {p} inserted twice")
+            if s > 0:
+                r |= bit
+            else:
+                b |= bit
+            reds.append(r)
+            blues.append(b)
+            if tie is None:
+                lv = level(r, b)
+                if isinstance(lv, Violation):
+                    tie = lv
+                else:
+                    values.append(lv)
+    elif j == 0:
+        # a mirror: every pair changes sides, so re-level them in order
+        reds, blues = blues, reds
+        ctx._last = (reds, blues, values, made)
+        for i in range(1, m + 1):
+            lv = level(reds[i], blues[i])
             if isinstance(lv, Violation):
                 tie = lv
-            else:
-                values.append(lv)
+                break
+            values[i] = lv
+    elif j > m:
+        # a drop: the last pair goes
+        del reds[-1], blues[-1], values[-1]
+    else:
+        # a swap of steps j, j+1 (j < m) or an append (j = m): only pair j
+        # changes, to pair j - 1 plus the new step j
+        s = steps[j - 1]
+        r, b = reds[j - 1], blues[j - 1]
+        if s > 0:
+            r |= 1 << (s - 1)
+        else:
+            b |= 1 << (-s - 1)
+        lv = level(r, b)
+        if isinstance(lv, Violation):
+            tie = lv
+        elif j < len(reds):
+            reds[j], blues[j], values[j] = r, b, lv
+        else:
+            reds.append(r)
+            blues.append(b)
+            values.append(lv)
     if tie is not None:
         return tie
     support = set(steps)
-    if not support <= set(values):
+    seen = set(values)
+    if not support <= seen:
         return Violation(None, f"chain {steps} is not permissible (levels {values})")
 
-    plateau = [i for i in range(m) if values[i] == values[i + 1]]
-    missing = [i for i in range(m + 1) if values[i] not in support]
-
-    produced: list[tuple[int, ...]] = []
-    if len(plateau) == 1 and not missing:
-        i = plateau[0]
+    # the m + 1 levels hold the m steps, so either one level repeats (and
+    # the support is all of them) or one level misses the support; each
+    # produced chain is kept with the one pair index it changes
+    if len(seen) == m:
+        val = sum(values) - sum(seen)
+        i = values.index(val)
+        if values[i + 1] != val:
+            return Violation(
+                None,
+                f"rule dichotomy failed: plateaus at [], unmatched levels at [], levels {values}",
+            )
         if i == 0:
             return Violation(None, f"level 1 repeated at the chain root; levels {values}")
-        produced.append(_swapped(steps, i))
+        made[_swapped(steps, i)] = i
         if i < m - 1:
-            produced.append(_swapped(steps, i + 1))
+            made[_swapped(steps, i + 1)] = i + 1
         else:
-            produced.append(steps[:-1])
-    elif len(missing) == 1 and not plateau:
-        i = missing[0]
-        val = values[i]
+            made[steps[:-1]] = m
+    else:
+        (val,) = seen - support
+        i = values.index(val)
         if abs(val) <= n:
             # val itself is missing from the support, so only -val can hold
             # its position
@@ -289,20 +349,15 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
                     None,
                     f"append target {val} collides with step {-val} of chain {steps}",
                 )
-            produced.append(steps + (val,))
+            made[steps + (val,)] = m + 1
         if m > 0:
             if i == 0:
-                produced.append(tuple(-s for s in steps))
+                made[tuple(-s for s in steps)] = 0
             elif i == m:
-                produced.append(steps[:-1])
+                made[steps[:-1]] = m
             else:
-                produced.append(_swapped(steps, i))
-    else:
-        return Violation(
-            None,
-            f"rule dichotomy failed: plateaus at {plateau}, unmatched levels at {missing}, levels {values}",
-        )
-    return produced
+                made[_swapped(steps, i)] = i
+    return list(made)
 
 
 def verify_witness(w: Witness, h: Hypergraph, c: Coloring) -> bool:
@@ -326,7 +381,9 @@ def audit(
 
     Starting at the empty chain (the unique degree-one vertex) the walk
     moves to whichever neighbor is not the vertex it just left, and checks
-    each chain once, as ``neighbors`` levels it on arrival.  While the
+    each chain once, as ``neighbors`` levels it on arrival.  Every chain
+    after the first is one the previous call produced, so ``neighbors``
+    levels only the pair it changes.  While the
     coloring uses at most n - alt + k - 2 colors, every interior vertex has
     exactly two neighbors unless a rule violation reveals a witness, and a
     violation must eventually occur, so the walk is the constructive proof

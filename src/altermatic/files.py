@@ -28,11 +28,12 @@ class ParseError(ValueError):
 
 
 def _significant_lines(text: str):
+    plain = text.isascii() and "_" not in text  # then no line needs the check below
     for number, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             yield number, body  # checked once the caller accepts it, so its messages come first
-            if "_" in body or not (body.isascii() or "".join(body.split()).isascii()):
+            if not plain and ("_" in body or not (body.isascii() or "".join(body.split()).isascii())):
                 raise ParseError(f"numbers are an optional sign and ASCII digits, got {body!r}", number)
 
 
@@ -59,7 +60,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     seen: set[int] = set()
     for number, body in lines:
         try:
-            ids = set(map(int, body.split()))
+            ids = list(map(int, body.split()))
         except ValueError:
             raise ParseError(f"edge line is not whitespace-separated integers: {body!r}", number)
         mask = 0

@@ -1,5 +1,6 @@
 """Signed levels, permissible chains, neighbor rules, and the audit walk."""
 
+import importlib
 import math
 import random
 
@@ -27,11 +28,13 @@ from altermatic import (
     mask_of,
     neighbors,
     random_hypergraph,
+    schrijver_hypergraph,
     verify_witness,
 )
 from altermatic.reference import enumerate_audit_graph
 from helpers import all_sign_vectors, random_sign_vector, sub_vectors
 
+AUDIT = importlib.import_module("altermatic.audit")  # the package's ``audit`` is the function
 PAIRS4 = complete_uniform(4, 2)
 ONES4 = Coloring((1,) * 6, 1)
 
@@ -443,6 +446,141 @@ def test_walk_chains_and_peaks_on_regime_colorings(m, r):
                 assert ctx._peak_of(side) == peak
                 ties += sum(e & ~mask == 0 and col == peak[0] for e, col in zip(h.edges, c.assignment)) > 1
     assert ties > 0
+
+
+def fresh_walk(h, c, k, order=None):
+    """The audit walk with every chain answered on a fresh context: the
+    list of (chain, answer) it visits, the last one ending the walk."""
+    visits, prev, cur = [], None, ()
+    while True:
+        outcome = neighbors(cur, AuditContext(h, c, k, order))
+        visits.append((cur, outcome))
+        if isinstance(outcome, Violation):
+            return visits
+        onward = [q for q in outcome if q != prev]
+        if not onward:
+            return visits
+        prev, cur = cur, onward[0]
+
+
+def least_element(h, cap):
+    return Coloring(tuple(min(min(vs), cap) for vs in h.edge_sets()), cap)
+
+
+def walk_cases(family):
+    """(h, k, order, coloring): a seeded regime coloring and a proper one
+    at k = 1 and 2, under the identity or (random inputs) a seeded ordering."""
+    if family == "random":
+        rng = random.Random(83)
+        inputs = []
+        for trial in range(6):
+            n = rng.randint(4, 7)
+            h = random_hypergraph(n, rng.randint(4, 12), (1, 3), seed=84_000 + trial)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            inputs.append((h, LinearOrder(tuple(perm)), optimal_coloring(h)))
+    else:
+        h = {"KG(8,2)": complete_uniform(8, 2), "KG(9,3)": complete_uniform(9, 3),
+             "SG(8,2)": schrijver_hypergraph(8, 2)}[family]
+        r = max(len(vs) for vs in h.edge_sets())
+        inputs = [(h, None, least_element(h, h.n - 2 * r + 2))]
+        rng = random.Random(85)
+    for h, order, proper in inputs:
+        for k in (1, 2):
+            palette = h.n - alt_sigma(h, order or LinearOrder.identity(h.n), k).alt_value + k - 2
+            if palette >= 1:
+                yield h, k, order, Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
+            yield h, k, order, proper
+
+
+@pytest.mark.parametrize("family", ["KG(8,2)", "KG(9,3)", "SG(8,2)", "random"])
+def test_walk_matches_fresh_context_answers(monkeypatch, family):
+    # neighbors levels a chain from the chain that produced it; a walk
+    # answering every chain on a fresh context visits the same chains, gets
+    # the same answers and ends with the same outcome
+    real = AUDIT.neighbors
+    calls = []
+
+    def recorded(steps, ctx):
+        outcome = real(steps, ctx)
+        calls.append((steps, outcome))
+        return outcome
+
+    monkeypatch.setattr(AUDIT, "neighbors", recorded)
+    kinds = set()
+    for h, k, order, c in walk_cases(family):
+        calls.clear()
+        out = audit(h, c, k, order)
+        visits = fresh_walk(h, c, k, order)
+        assert calls == visits, (k, c)
+        last = visits[-1][1]
+        if isinstance(last, Violation):
+            assert out == last.witness
+        else:
+            assert out == ProperWithinBound(len(visits) - 1)
+        kinds.add(type(out))
+    assert kinds == {Witness, ProperWithinBound}
+
+
+def test_walk_levels_about_one_pair_per_step(monkeypatch):
+    # a walk step changes at most one prefix pair, so it levels at most
+    # one new pair (a mirror aside); levelling every prefix took about 6
+    h = complete_uniform(12, 3)
+    rng = random.Random(3)
+    c = Coloring(tuple(rng.randint(1, 7) for _ in h.edges), 7)  # n - alt - 1 at k = 1
+    counts = {"level": 0, "neighbors": 0}
+    level, real = AuditContext.level, AUDIT.neighbors
+
+    def counted_level(self, reds, blues):
+        counts["level"] += 1
+        return level(self, reds, blues)
+
+    def counted_neighbors(steps, ctx):
+        counts["neighbors"] += 1
+        return real(steps, ctx)
+
+    monkeypatch.setattr(AuditContext, "level", counted_level)
+    monkeypatch.setattr(AUDIT, "neighbors", counted_neighbors)
+    assert isinstance(audit(h, c, 1), Witness)
+    steps = counts["neighbors"] - 1
+    assert steps > 20
+    assert counts["level"] <= 1.5 * steps
+
+
+def test_neighbors_refuses_malformed_chains_after_a_walk():
+    h = complete_uniform(8, 2)
+    c = least_element(h, 6)
+    ctx = ctx_for(h, c)
+    prev, cur = None, ()
+    for _ in range(8):
+        produced = neighbors(cur, ctx)
+        prev, cur = cur, [q for q in produced if q != prev][0]
+    assert len(cur) > 2
+    for steps in ((0,), (9,), (-9,), (1, -1), (2, 3, 2), cur + (cur[0],), cur + (-cur[-1],), cur[:-1] + (9,)):
+        with pytest.raises(ValueError):
+            neighbors(steps, ctx)
+    fresh = ctx_for(h, c)
+    assert neighbors(cur, ctx) == neighbors(cur, fresh)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_produced_chains_answer_in_either_order(k):
+    h = complete_uniform(8, 2)
+    rng = random.Random(87)
+    palette = 8 - alt_sigma(h, LinearOrder.identity(8), k).alt_value + k - 2
+    pairs = 0
+    for c in (least_element(h, 6), Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)):
+        for chain, outcome in fresh_walk(h, c, k):
+            if isinstance(outcome, Violation) or len(outcome) < 2:
+                continue
+            answers = [neighbors(q, ctx_for(h, c, k)) for q in outcome]
+            for order in ((0, 1), (1, 0)):
+                ctx = ctx_for(h, c, k)
+                assert neighbors(chain, ctx) == outcome
+                for i in order:
+                    assert neighbors(outcome[i], ctx) == answers[i], (chain, order)
+            pairs += 1
+    assert pairs > 10
 
 
 def test_audit_respects_sigma():

@@ -547,6 +547,19 @@ def test_level_beyond_chi_plus_one_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith(f"error: level k={argv[2]} exceeds chi+1")
 
 
+def test_level_within_a_cheap_lower_bound_skips_the_colouring(capsys, tmp_path, monkeypatch):
+    # chi(KG(12,3)) = 8: every word is feasible at k = 8, and the k = 1
+    # bound at the identity, 12 - 4 = 8, already proves chi >= 7, so the
+    # exact refutation of 6 colours (many seconds) never starts
+    def refuse(*_):
+        raise AssertionError("a proven level started colouring")
+
+    monkeypatch.setattr(cli, "chromatic_at_most", refuse)
+    code, out, _ = run(capsys, "altsigma", "-H", write_kneser(tmp_path, 12, 3), "-k", "8")
+    assert code == 0
+    assert report_dict(out)["bound"] == "7"
+
+
 def test_level_chi_plus_one_still_bounds(capsys, tmp_path):
     code, out, _ = run(capsys, "altsigma", "-H", write_kneser(tmp_path, 5, 2), "-k", "4")
     assert code == 0
