@@ -90,7 +90,7 @@ class _AltSearch:
     meets it.  At k >= 3 the answer comes from ``chromatic_at_most`` on
     the survivors' Kneser graph, memoized on the set, since the same sets
     recur across branches and across orderings.  That coloring question
-    is asked only for survivor sets that a walk or ``_free_floor``
+    is asked only for survivor sets that a walk or ``_half_floor``
     reaches, never up front for the whole of H: where the word that
     alternates along the whole ordering is feasible, the walk's first
     descent reaches alt = n in n nodes.
@@ -612,7 +612,7 @@ def alt_min(
     minimiser holds only minimisers, and it is the least of them; so it
     is generated, every ordering scanned before it has a larger alt, and
     the reduction changes no report.  The identity, the least ordering of
-    all, is scanned first.  The free floor (below) is computed only when
+    all, is scanned first.  The half floor (below) is computed only when
     the scan would go on past it, and H is searched for twins and
     automorphisms only when the scan goes on past both floors.
 
@@ -635,39 +635,44 @@ def alt_min(
       proven upper bound on chi, such as ``coloring.greedy_color_count``
       of ``kneser_graph(h)``; never pass a bound derived from the
       altermatic bound itself.  Without it this floor is 0.
-    - The free floor: the largest size of a vertex set S whose one-sided
-      word (R = S, B = 0) is feasible.  Every word supported on S keeps
-      only edges inside S, so it is feasible too, by downward closure;
-      under any ordering the word that alternates along S has alt |S|.
+    - The half floor: the largest size s of a vertex set S whose edges
+      of at most ceil(s/2) vertices form a feasible survivor set.  Under
+      any ordering the word that alternates along S has alt s and puts
+      ceil(s/2) vertices of S on R and floor(s/2) on B.  Each of its
+      survivors lies inside one side, so it is one of those edges, and
+      the word is feasible by downward closure.  At k <= 2 this is the
+      largest S whose balanced splits are all feasible.  It is at least
+      the size of the largest feasible one-sided word (R = S, B = 0).
       This floor assumes no theorem and no ceiling, so ``verify_theorem``
       may stop at it and its check stays independent.  It is found by
-      ``_free_floor``.  A scanned ordering whose alt falls below it
+      ``_half_floor``.  A scanned ordering whose alt falls below it
       contradicts that argument, so it raises ``AssertionError`` rather
       than replace the best.  Its search over vertex sets is exponential
       in n, so a sampled scan asks only whether S may be the whole vertex
-      set, and only when the identity's alt is n and k <= 2: H edgeless
-      at k = 1, its edges pairwise intersecting at k = 2.  At k >= 3 that
-      question is a coloring of the whole Kneser graph, never asked.
+      set, and only when the identity's alt is n and k <= 2: whether the
+      edges of at most ceil(n/2) vertices are none (k = 1) or pairwise
+      intersect (k = 2).  At k >= 3 that question is a coloring, never
+      asked.
     """
     n = h.n
     _check_scan(n, samples)
     search = _AltSearch(h, k)
     mode = "exhaustive" if samples is None else "sampled"
 
-    # both scans start at the identity, so the free floor and the symmetry
+    # both scans start at the identity, so the half floor and the symmetry
     # of H are searched for only when the scan goes on past it
     identity = tuple(range(1, n + 1))
     best = (*search.run(identity), identity)
     floor = 0 if ceiling is None else max(0, n + k - 1 - ceiling)
-    free = 0
+    half = 0
     if best[0] > floor:
         if samples is None:
-            free = _free_floor(search, floor, best[0])
+            half = _half_floor(search, floor, best[0])
         elif best[0] == n and k <= 2:
-            # the free floor's first size alone: no search at k = 1 and one
+            # the half floor's first size alone: no search at k = 1 and one
             # clash scan at k = 2
-            free = _free_floor(search, n - 1, n)
-    stop = max(floor, free)
+            half = _half_floor(search, n - 1, n)
+    stop = max(floor, half)
     if best[0] > stop:
         if samples is None:
             classes = _twin_classes(h)
@@ -677,8 +682,8 @@ def alt_min(
         for perm in islice(orderings, 1, None):
             outcome = search.run(perm, threshold=best[0])
             if outcome is not None:
-                if outcome[0] < free:
-                    raise AssertionError(f"alt {outcome[0]} under {perm} is below the free floor {free}")
+                if outcome[0] < half:
+                    raise AssertionError(f"alt {outcome[0]} under {perm} is below the half floor {half}")
                 best = (*outcome, perm)
                 if best[0] <= stop:
                     break
@@ -698,16 +703,17 @@ def _check_scan(n: int, samples: int | None) -> None:
         raise ValueError(f"sample count must be positive, got {samples}")
 
 
-def _free_floor(search: _AltSearch, low: int, high: int) -> int:
-    """The largest size in low + 1..high of a vertex set S whose one-sided
-    word (R = S, B = 0) is feasible, or 0 if there is none; sizes are tried
-    largest first.  The edges inside S are those holding no vertex outside
-    it."""
+def _half_floor(search: _AltSearch, low: int, high: int) -> int:
+    """The largest size s in low + 1..high of a vertex set S whose edges of
+    at most ceil(s/2) vertices form a feasible survivor set, or 0 if there
+    is none; sizes are tried largest first.  The edges inside S are those
+    holding no vertex outside it."""
     h = search.h
-    every = (1 << len(h.edges)) - 1
     for size in range(high, low, -1):
+        half = (size + 1) // 2
+        small = sum(1 << i for i, e in enumerate(h.edges) if e.bit_count() <= half)
         for outside in combinations(h.incidence, h.n - size):
-            inside = every & ~functools.reduce(or_, outside, 0)
+            inside = small & ~functools.reduce(or_, outside, 0)
             if not inside or search.k > 1 and search._chrom_ok(inside):
                 return size
     return 0

@@ -135,15 +135,18 @@ def _within_level(h: Hypergraph, rep: AltReport) -> AltReport:
     alt < n means KG(H) is not (k-1)-colorable, so k <= chi.  At alt = n
     the bound is k - 1, which holds exactly when KG(H) is not
     (k-2)-colorable.  For k >= 3 the greedy clique or the k = 1 bound at
-    the identity often proves chi >= k - 1 at once; only when neither does
-    is (k-2)-colorability decided exactly.
+    the identity often proves chi >= k - 1 at once, and when H has an edge
+    (so that k = 2 is a valid level) so does the k = 2 bound, which is chi
+    on SG(m,r); only when none does is (k-2)-colorability decided exactly.
     """
     if rep.alt_value < h.n or rep.k < 2:
         return rep
     g = kneser_graph(h)
+    identity = LinearOrder.identity(h.n)
     if rep.k >= 3 and (
         len(greedy_clique(g)) >= rep.k - 1
-        or alt_sigma(h, LinearOrder.identity(h.n), 1).bound >= rep.k - 1
+        or alt_sigma(h, identity, 1).bound >= rep.k - 1
+        or (h.edges and alt_sigma(h, identity, 2).bound >= rep.k - 1)
     ):
         return rep
     if chromatic_at_most(g, rep.k - 2):

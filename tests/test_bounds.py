@@ -577,9 +577,10 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
     # bound is chi - 1 and the full scan of its 2,520 orderings, which hold
     # one per orbit of its dihedral group with reversal, stays.
     # verify_theorem passes no ceiling, since the theorem's floor assumes
-    # the theorem it checks.  At k = 2 the free floor stops it at the
-    # identity instead: the largest vertex set whose edges pairwise
-    # intersect, such as {1, 3, 5}, has 3 vertices, the identity's alt.
+    # the theorem it checks.  At k = 2 the half floor stops it at the
+    # identity instead: the largest vertex set whose edges (each of 2
+    # vertices) pairwise intersect, such as {1, 3, 5}, has 3 vertices, the
+    # identity's alt.
     calls = []
     run = bounds._AltSearch.run
 
@@ -601,7 +602,7 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
 
 
 def test_verify_stops_at_the_free_floor(monkeypatch):
-    # machine-independent work count: the 8-cycle's free floor is 4 at
+    # machine-independent work count: the 8-cycle's half floor is 4 at
     # k = 1 (an independent set) and 5 at k = 2 (a path of two edges and
     # two more vertices, such as {1, 2, 3, 5, 7}), its minimum alt at both
     # levels, so its scan of 2,520 orderings stops at the first minimiser
@@ -620,32 +621,96 @@ def test_verify_stops_at_the_free_floor(monkeypatch):
         assert (check.report.alt_value, check.bound, check.tight) == (3 + k, 4, True)
 
 
-def _brute_free_floor(h, k):
-    # oracle: the largest vertex set whose one-sided word is feasible
+def _brute_one_sided_floor(h, k):
+    # the largest vertex set whose one-sided word is feasible
     return max(s.bit_count() for s in range(1 << h.n) if reference.feasible_by_scan(h, s, 0, k))
+
+
+def _brute_half_floor(h, k):
+    # oracle at k <= 2: the largest vertex set S all of whose balanced
+    # splits (ceil(|S|/2) vertices R, the rest B) are feasible
+    best = 0
+    for s in range(1 << h.n):
+        size = s.bit_count()
+        if size > best and all(
+            reference.feasible_by_scan(h, mask_of(reds), s & ~mask_of(reds), k)
+            for reds in combinations(vertices_of(s), (size + 1) // 2)
+        ):
+            best = size
+    return best
+
+
+def _assert_no_ordering_below(h, k, floor):
+    # against the enumeration oracle up to n = 5, and against
+    # ``alt_sigma`` at n = 6, where the oracle would take seconds per input
+    for p in permutations(range(1, h.n + 1)):
+        order = LinearOrder(p)
+        if h.n <= 5:
+            assert floor <= reference.alt_sigma_by_enumeration(h, order, k)
+        else:
+            assert floor <= alt_sigma(h, order, k).alt_value
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(small_instances())
-def test_free_floor_is_the_largest_feasible_one_sided_word(instance):
-    # and no ordering has alt below it: against the enumeration oracle up
-    # to n = 5, and against ``alt_sigma`` at n = 6, where the oracle would
-    # take seconds per input
+def test_half_floor_is_the_largest_set_whose_balanced_splits_are_feasible(instance):
+    # at k <= 2; at k = 3 it lies between the largest feasible one-sided
+    # word and every ordering's alt
     h, _, k = instance
-    free = bounds._free_floor(bounds._AltSearch(h, k), 0, h.n)
-    assert free == _brute_free_floor(h, k)
-    for p in permutations(range(1, h.n + 1)):
-        order = LinearOrder(p)
-        if h.n <= 5:
-            assert free <= reference.alt_sigma_by_enumeration(h, order, k)
-        else:
-            assert free <= alt_sigma(h, order, k).alt_value
+    half = bounds._half_floor(bounds._AltSearch(h, k), 0, h.n)
+    if k <= 2:
+        assert half == _brute_half_floor(h, k)
+    else:
+        assert _brute_one_sided_floor(h, k) <= half
+    _assert_no_ordering_below(h, k, half)
+
+
+@pytest.mark.parametrize(
+    "edges, k",
+    [([[1, 2, 3]], 1), ([[1], [2, 3, 4]], 2)],
+    ids=["123-k1", "1-234-k2"],
+)
+def test_half_floor_passes_the_one_sided_floor(edges, k):
+    # on 4 vertices the largest feasible one-sided word has 3, but a
+    # balanced split of all 4 keeps no edge of 3 vertices, so every split
+    # is feasible and no ordering has alt below 4
+    h = Hypergraph.from_edge_sets(4, edges)
+    half = bounds._half_floor(bounds._AltSearch(h, k), 0, h.n)
+    assert (_brute_one_sided_floor(h, k), half, _brute_half_floor(h, k)) == (3, 4, 4)
+    _assert_no_ordering_below(h, k, half)
+
+
+def test_verify_stops_at_the_half_floor(monkeypatch):
+    # machine-independent work count: the 7-vertex input's half floor at
+    # k = 1 is 6 (the one edge inside {1, 2, 3, 4, 6, 7} has 4 vertices),
+    # its minimum alt, which its second ordering reaches; the largest
+    # feasible one-sided word has 5 vertices, and stopping there scanned
+    # all 2,520 orderings.  The two 4-vertex inputs of
+    # ``test_half_floor_passes_the_one_sided_floor`` stop at the identity,
+    # where stopping at 3 scanned 3 orderings
+    calls = []
+    run = bounds._AltSearch.run
+
+    def counting(self, perm, threshold=None):
+        calls.append(perm)
+        return run(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting)
+    h = Hypergraph.from_edge_sets(7, [[1, 3, 4, 6], [3, 5, 6], [3, 5, 6, 7], [4, 5, 6], [4, 5, 7]])
+    check = verify_theorem(h, 1)
+    assert len(calls) == 2
+    rep = check.report
+    assert (rep.alt_value, rep.sigma.perm, rep.witness.word(), check.chi) == (6, (1, 2, 3, 4, 5, 7, 6), "RB0RBRB", 1)
+    for edges, k in (([[1, 2, 3]], 1), ([[1], [2, 3, 4]], 2)):
+        calls.clear()
+        verify_theorem(Hypergraph.from_edge_sets(4, edges), k)
+        assert len(calls) == 1
 
 
 def test_alt_below_the_free_floor_is_an_internal_error(monkeypatch):
     # a walk that answered too low an alt would contradict downward
     # closure; the scan raises rather than report it.  The 8-cycle's
-    # free floor at k = 1 is 4, and the patched threshold runs answer 3.
+    # half floor at k = 1 is 4, and the patched threshold runs answer 3.
     run = bounds._AltSearch.run
 
     def too_low(self, perm, threshold=None):
@@ -654,7 +719,7 @@ def test_alt_below_the_free_floor_is_an_internal_error(monkeypatch):
         return 3, SignVector(self.h.n, 0b101, 0b10)
 
     monkeypatch.setattr(bounds._AltSearch, "run", too_low)
-    with pytest.raises(AssertionError, match="below the free floor 4"):
+    with pytest.raises(AssertionError, match="below the half floor 4"):
         alt_min(_cycle(8), 1)
 
 

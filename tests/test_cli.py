@@ -560,6 +560,22 @@ def test_level_within_a_cheap_lower_bound_skips_the_colouring(capsys, tmp_path, 
     assert report_dict(out)["bound"] == "7"
 
 
+def test_level_within_the_k2_bound_skips_the_colouring(capsys, tmp_path, monkeypatch):
+    # chi(SG(11,3)) = 7: every word is feasible at k = 8, the greedy
+    # clique and the k = 1 bound at the identity fall short of 7, and the
+    # k = 2 bound at the identity, 7, proves chi >= 7 without refuting 6
+    # colours exactly
+    def refuse(*_):
+        raise AssertionError("a proven level started colouring")
+
+    monkeypatch.setattr(cli, "chromatic_at_most", refuse)
+    path = tmp_path / "sg113.hg"
+    path.write_text(serialize_hypergraph(schrijver_hypergraph(11, 3)))
+    code, out, _ = run(capsys, "altsigma", "-H", str(path), "-k", "8")
+    assert code == 0
+    assert report_dict(out)["bound"] == "7"
+
+
 def test_level_chi_plus_one_still_bounds(capsys, tmp_path):
     code, out, _ = run(capsys, "altsigma", "-H", write_kneser(tmp_path, 5, 2), "-k", "4")
     assert code == 0
