@@ -118,6 +118,9 @@ class _AltSearch:
         # each vertex id to b"R" or b"B", and the ids of its 0 vertices
         # (ids are at most ``core.DEFAULT_VERTEX_CAP`` = 63, so one byte).
         self._words: list[tuple[bytes, bytes]] = []
+        # k = 1: the size of the largest edge-free vertex set found, and the
+        # least size shown to hold an edge in every set (see ``_free_at_most``)
+        self._free = (0, h.n + 1)
 
     def _chrom_ok(self, survivors: int) -> bool:
         if self.k == 2:
@@ -136,6 +139,68 @@ class _AltSearch:
             cached = chromatic_at_most(kneser_graph(Hypergraph(self.h.n, edges)), self.k - 1)
             self._chrom[survivors] = cached
         return cached
+
+    def _free_at_most(self, size: int) -> bool:
+        """Whether every vertex set of size + 1 holds an edge: F_1 <= size.
+
+        The first question grows a maximal edge-free set greedily.  Past
+        its size, a depth-first search adds vertices in increasing order,
+        and returns at its first edge-free set of size + 1, grown greedily
+        to a maximal one.  The largest set found and the least size refuted
+        are kept, so a later question is searched only past both.
+        """
+        found, refuted = self._free
+        if size < found or size + 1 >= refuted:
+            return size + 1 >= refuted
+        n, inc, target = self.h.n, self.h.incidence, size + 1
+        # once[i], twice[i]: index bits of the edges holding at least one,
+        # and at least two, vertices >= i
+        once = [0] * (n + 1)
+        twice = [0] * (n + 1)
+        for v in range(n - 1, -1, -1):
+            twice[v] = twice[v + 1] | once[v + 1] & inc[v]
+            once[v] = once[v + 1] | inc[v]
+        if not found:
+            # v joins unless an edge holding it has no vertex left out and
+            # none above v
+            out = 0
+            for v in range(n):
+                if inc[v] & ~(out | once[v + 1]):
+                    out |= inc[v]
+                else:
+                    found += 1
+            self._free = (found, refuted)
+            if size < found:
+                return False
+
+        def grow(i: int, count: int, out: int) -> int:
+            # the set has ``count`` vertices below i; ``out`` holds the edges
+            # of the vertices below i left out.  A vertex j >= i may join
+            # only if each edge holding it has a vertex left out or a second
+            # one >= i, or the set and j would hold that edge; how many may
+            # join bounds how far the set can grow.
+            keep = out | twice[i]
+            may = [j for j in range(i, n) if inc[j] & keep == inc[j]]
+            if count + len(may) < target:
+                return 0
+            if not may:
+                return count
+            skip, u = out, i
+            for t, j in enumerate(may):
+                if count + len(may) - t < target:
+                    return 0
+                while u < j:
+                    skip |= inc[u]
+                    u += 1
+                reached = grow(j + 1, count + 1, skip)
+                if reached:
+                    return reached
+            return 0
+
+        reached = grow(0, 0, 0)
+        grow = None  # see ``_walk``
+        self._free = (reached, refuted) if reached else (found, target)
+        return not reached
 
     def _refuted(self, perm: tuple[int, ...], threshold: int) -> bool:
         """Whether a remembered word reaches alt >= threshold under ``perm``."""
@@ -238,6 +303,16 @@ class _AltSearch:
         k = 2 the same test with a clash scan per slot cut few nodes
         (7,257 to 7,009 per seed-7 ``chromatic`` pass) and made the walk
         slower, so it is not used there.
+
+        At k = 1 the first pass also stops at best = 2 F_1, where F_1 is the
+        size of the largest edge-free vertex set.  Each side of a feasible
+        word is edge-free, so a word of alt a has ceil(a/2) <= F_1 slots on
+        R.  At an even best b, when ``_free_at_most(b/2)`` finds no
+        edge-free set of b/2 + 1 vertices, no word beats b: the pass ends
+        as at ``limit``, with the maximum it would have ended with, so the
+        second pass, the witness and the word remembered do not change.  At
+        k = 2 the same bound is loose: on KG(m,r), alt = 2r - 1, while any
+        2r - 1 vertices form a feasible one-sided word.
         """
         n = self.h.n
         best = -1
@@ -252,18 +327,26 @@ class _AltSearch:
         # two[d]: those holding the vertices of two or more such slots, built
         # at the first side-ceiling test (most short walks make none)
         two = None
+        # the k = 1 stop asks nothing below best = 2 * (largest edge-free set
+        # found); at k > 1 it never asks
+        ask = 2 * self._free[0] if k == 1 else n + 1
 
         # ``onxt``/``oprev``: index bits of the edges holding a given vertex
         # off the side the next nonzero slot joins, and off the other side;
         # ``wnxt``/``wprev``: the slots of those two sides.
         def walk(depth: int, onxt: int, oprev: int, wnxt: int, wprev: int, cur: int, surv: int) -> None:
-            nonlocal best, best_sides, two
+            nonlocal best, best_sides, two, stop, ask
             if cur > best:
                 best = cur
                 # the first nonzero slot is R, so ``prev`` is R when cur is odd
                 best_sides = (wprev, wnxt) if cur % 2 else (wnxt, wprev)
-                if best >= limit:
+                if best >= stop:
                     return
+                if best >= ask and not best % 2:
+                    if self._free_at_most(best // 2):
+                        stop = best  # no word beats 2 F_1 (see above)
+                        return
+                    ask = 2 * self._free[0]
             if depth == n or cur + (n - depth) <= best:
                 return
             if k == 1 and cur < best:
@@ -291,18 +374,19 @@ class _AltSearch:
             at = slot_inc[depth]
             if zero_first:
                 walk(depth + 1, onxt | at, oprev | at, wnxt, wprev, cur, surv)
-                if best >= limit:
+                if best >= stop:
                     return
             # ``fresh``: index bits of the edges this sign makes monochromatic
             fresh = at & ~(onxt | later[depth + 1])
             if not fresh or k > 1 and self._chrom_ok(surv | fresh):
                 walk(depth + 1, oprev | at, onxt, wprev, wnxt | (1 << depth), cur + 1, surv | fresh)
-            if not zero_first and best < limit:
+            if not zero_first and best < stop:
                 walk(depth + 1, onxt | at, oprev | at, wnxt, wprev, cur, surv)
 
+        stop = limit
         walk(0, 0, 0, 0, 0, 0, 0)
         if best < limit:
-            best, limit, zero_first = best - 1, best, True
+            best, stop, zero_first = best - 1, best, True
             walk(0, 0, 0, 0, 0, 0, 0)
         # ``walk`` refers to itself; dropping that reference lets reference
         # counting free it here instead of leaving a cycle for the collector

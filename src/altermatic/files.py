@@ -10,12 +10,26 @@ vertex indices, so round-tripping preserves it exactly.
 Coloring files: one positive integer per significant line; line i colors
 hyperedge i in the hypergraph's file order.  The palette is the maximum
 value present.  Numbers in both formats are ASCII digits, optionally signed.
+
+Canonical text, ASCII with no ``#`` and no ``_``, is read in one pass: a
+hypergraph whose lines are ``n <count>`` and then edges of the tokens
+``1``..``n`` alone, each looked up in a table of vertex bits, and a
+coloring with one integer per line.  Any other text, and any canonical
+text that pass does not accept, is read line by line; that parser raises
+every ``ParseError``, so messages and line numbers do not depend on the
+path taken.
 """
 
 from __future__ import annotations
 
-from .core import Hypergraph, vertex_cap, vertices_of
+from functools import reduce
+from operator import or_
+
+from .core import DEFAULT_VERTEX_CAP, Hypergraph, vertex_cap, vertices_of
 from .coloring import Coloring
+
+# token -> vertex bit, for the canonical pass
+_BITS = {str(v): 1 << (v - 1) for v in range(1, DEFAULT_VERTEX_CAP + 1)}
 
 
 class ParseError(ValueError):
@@ -37,7 +51,27 @@ def _significant_lines(text: str):
                 raise ParseError(f"numbers are an optional sign and ASCII digits, got {body!r}", number)
 
 
+def _canonical(text: str) -> bool:
+    return text.isascii() and "#" not in text and "_" not in text
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
+    if _canonical(text):
+        lines = text.splitlines()
+        try:
+            head, count = lines[0].split()
+            if head == "n":
+                bit = _BITS.__getitem__
+                n = bit(count).bit_length()
+                # a blank line, a token out of range or a duplicate edge
+                # fails ``Hypergraph``'s own checks
+                return Hypergraph(n, tuple([reduce(or_, map(bit, line.split()), 0) for line in lines[1:]]))
+        except (LookupError, ValueError):
+            pass
+    return _hypergraph_lines(text)
+
+
+def _hypergraph_lines(text: str) -> Hypergraph:
     lines = _significant_lines(text)
     try:
         number, body = next(lines)
@@ -86,6 +120,18 @@ def serialize_hypergraph(h: Hypergraph, comment: str | None = None) -> str:
 
 
 def parse_coloring(text: str, expected_len: int) -> Coloring:
+    if _canonical(text):
+        try:
+            values = list(map(int, text.splitlines()))
+        except ValueError:  # a line that is not one integer
+            pass
+        else:
+            if len(values) == expected_len and min(values, default=1) >= 1:
+                return Coloring(tuple(values), max(values, default=0))
+    return _coloring_lines(text, expected_len)
+
+
+def _coloring_lines(text: str, expected_len: int) -> Coloring:
     values: list[int] = []
     for number, body in _significant_lines(text):
         tokens = body.split()

@@ -218,6 +218,62 @@ def test_side_ceiling_cuts_the_level_one_walk():
     assert _walk_nodes(random_hypergraph(30, 200, (2, 3), 1), 1) <= 15_000
 
 
+def _largest_edge_free(h):
+    full = (1 << h.n) - 1
+    return max(s.bit_count() for s in range(full + 1) if not any(e & s == e for e in h.edges))
+
+
+def _free_stop_inputs(rng, count):
+    """(h, order): KG(m,r), disjoint unions of two of them and the inputs
+    of ``_level_one_inputs``, in turn, on up to 8 vertices."""
+    mixed = _level_one_inputs(rng, count)
+    for i in range(count):
+        if i % 3 == 0:
+            m = rng.randint(1, 8)
+            h = complete_uniform(m, rng.randint(1, m))
+        elif i % 3 == 1:
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            left, right = complete_uniform(a, rng.randint(1, a)), complete_uniform(b, rng.randint(1, b))
+            h = Hypergraph(a + b, left.edges + tuple(e << a for e in right.edges))
+        else:
+            yield next(mixed)
+            continue
+        perm = list(range(1, h.n + 1))
+        rng.shuffle(perm)
+        yield h, LinearOrder(tuple(perm))
+
+
+def test_free_stop_at_level_one_matches_enumeration():
+    # the k = 1 walk stops at best = 2 F_1 once no edge-free set of
+    # best/2 + 1 vertices exists; the maximum, witness and threshold
+    # decisions stay those of the full walk
+    stopped = larger = 0
+    for h, order in _free_stop_inputs(random.Random(36), 300):
+        search = bounds._AltSearch(h, 1)
+        alt_value, witness = search.run(order.perm)
+        assert alt_value == reference.alt_sigma_by_enumeration(h, order, 1), (h, order)
+        assert (alt_value, witness) == first_optimal_word(h, order, 1), (h, order)
+        free = _largest_edge_free(h)
+        found, refuted = search._free
+        assert found <= free < refuted, (h, found, refuted)
+        if refuted <= h.n:
+            assert refuted == free + 1 == alt_value // 2 + 1, (h, order)
+            stopped += 1
+        # the search found an edge-free set larger than the best word's sides
+        larger += found > alt_value // 2
+        for t in range(h.n + 2):
+            outcome = bounds._AltSearch(h, 1).run(order.perm, t)
+            assert outcome == (None if alt_value >= t else (alt_value, witness)), (h, order, t)
+    assert stopped > 50 and larger > 50
+
+
+def test_free_stop_cuts_the_kneser_walk():
+    # machine-independent work count: KG(12,3) took 356 nodes without the
+    # stop at 2 F_1, and KG(16,5) 12,904
+    assert _walk_nodes(complete_uniform(12, 3), 1) <= 40
+    assert _walk_nodes(complete_uniform(16, 5), 1) <= 60
+
+
 def test_alt_sigma_on_kg_16_5():
     # each vertex lies on C(15,4) = 1,365 edges, so the walk's edge test
     # works on 4,368-bit incidence masks

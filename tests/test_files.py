@@ -1,5 +1,7 @@
 """Hypergraph and coloring file formats."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from altermatic import (
     serialize_coloring,
     serialize_hypergraph,
 )
+from altermatic import files
 
 
 def test_parse_basic():
@@ -180,3 +183,91 @@ def test_coloring_roundtrip():
     c = Coloring((3, 1, 2, 2), 3)
     assert parse_coloring(serialize_coloring(c), 4) == c
     assert parse_coloring("", 0) == Coloring((), 0)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.line
+
+
+def _canonical_texts(rng, count):
+    """(hypergraph text, coloring text, edge count): seeded random files in
+    canonical text, with tabs and runs of spaces between tokens, repeated
+    and unsorted ids, CRLF or LF line ends and an optional final newline."""
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        edges = list({rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 15))})
+        lines = [rng.choice(("n ", "n\t", " n  ")) + str(n)]
+        for e in edges:
+            ids = [v for v in range(1, n + 1) if e >> (v - 1) & 1]
+            ids += rng.sample(ids, rng.randint(0, len(ids) - 1))
+            rng.shuffle(ids)
+            lines.append(rng.choice((" ", "\t", "  ")).join(map(str, ids)))
+        colors = [str(rng.randint(1, 9)) for _ in edges]
+        end = rng.choice(("\n", "\r\n"))
+        tail = end if rng.random() < 0.7 else ""
+        yield end.join(lines) + tail, end.join(colors) + (tail if colors else ""), len(edges)
+
+
+def test_canonical_pass_matches_the_line_parser(monkeypatch):
+    # a comment sends the same file to the line parser; canonical files
+    # never reach it
+    texts = list(_canonical_texts(random.Random(36), 300))
+    general = {"h": 0, "c": 0}
+    hypergraph_lines, coloring_lines = files._hypergraph_lines, files._coloring_lines
+
+    def count_h(text):
+        general["h"] += 1
+        return hypergraph_lines(text)
+
+    def count_c(text, expected_len):
+        general["c"] += 1
+        return coloring_lines(text, expected_len)
+
+    monkeypatch.setattr(files, "_hypergraph_lines", count_h)
+    monkeypatch.setattr(files, "_coloring_lines", count_c)
+    results = [(parse_hypergraph(h), parse_coloring(c, m)) for h, c, m in texts]
+    assert general == {"h": 0, "c": 0}
+    for (h, c, m), (hg, col) in zip(texts, results):
+        again = parse_hypergraph(h + "# c\n")
+        assert (again.n, again.edges) == (hg.n, hg.edges)
+        assert parse_coloring(c + "# c\n", m) == col
+    assert general == {"h": len(texts), "c": len(texts)}
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("n 4\n1 2\n0 3\n3 4\n", ("line 3: vertex 0 outside 1..4", 3)),
+        ("n 4\n1 2\n2 5\n3 4\n", ("line 3: vertex 5 outside 1..4", 3)),
+        ("n 4\r\n1 2\r\n2 5\r\n", ("line 3: vertex 5 outside 1..4", 3)),
+        ("n 4\n1 2\n2 3\n3 2\n", ("line 4: duplicate edge (2, 3)", 4)),
+        ("n 4\n1 2\n \t\n2 3\n3 3 2\n", ("line 5: duplicate edge (2, 3)", 5)),
+        ("n 4\n1 2\nx 4\n", ("line 3: edge line is not whitespace-separated integers: 'x 4'", 3)),
+        ("n 64\n1 2\n", ("line 1: vertex count 64 exceeds vertex cap 63", 1)),
+        ("n 4\n1 2\n\n2 3\n3 4\n", Hypergraph.from_edge_sets(4, [[1, 2], [2, 3], [3, 4]])),
+        ("n 4\n1 2\n+3 4\n", Hypergraph.from_edge_sets(4, [[1, 2], [3, 4]])),
+        ("n 4\n1 2\n03 4\n", Hypergraph.from_edge_sets(4, [[1, 2], [3, 4]])),
+    ],
+)
+def test_hypergraph_defects_keep_their_messages(text, outcome):
+    assert _outcome(parse_hypergraph, text) == outcome
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("1\n0\n1\n", ("line 2: colors are positive integers, got 0", 2)),
+        ("1\n-2\n1\n", ("line 2: colors are positive integers, got -2", 2)),
+        ("1\n2 1\n1\n", ("line 2: expected one color per line, got '2 1'", 2)),
+        ("1\nx\n1\n", ("line 2: color 'x' is not an integer", 2)),
+        ("1\n2\n1\n2\n", ("line 4: more colors than the 3 hyperedges", 4)),
+        ("1\n2\n", ("2 colors for 3 hyperedges", None)),
+        ("1\n\n2\n1\n", Coloring((1, 2, 1), 2)),
+        ("1\n+3\n03\n", Coloring((1, 3, 3), 3)),
+    ],
+)
+def test_coloring_defects_keep_their_messages(text, outcome):
+    assert _outcome(lambda t: parse_coloring(t, 3), text) == outcome
