@@ -202,15 +202,18 @@ class _AltSearch:
         self._free = (reached, refuted) if reached else (found, target)
         return not reached
 
-    def _refuted(self, perm: tuple[int, ...], threshold: int) -> bool:
-        """Whether a remembered word reaches alt >= threshold under ``perm``."""
+    def _refuted(self, perm: tuple[int, ...], threshold: int) -> bytes | None:
+        """The signs, slot by slot under ``perm``, of the newest remembered
+        word that reaches alt >= threshold, or None if none does.  A sign
+        is ``R`` or ``B``, and a 0 slot is a zero byte.  ``run`` needs only
+        the truth value; ``seed_bound`` repairs ``perm`` from the word."""
         key = bytes(perm)
-        for word in self._words:
-            signs = key.translate(*word)
+        for table, zeros in self._words:
+            signs = key.translate(table, zeros)
             # alt is the number of runs of equal signs; no word is empty
             if signs.count(b"RB") + signs.count(b"BR") + 1 >= threshold:
-                return True
-        return False
+                return key.translate(table)
+        return None
 
     def _remember(self, perm: tuple[int, ...], reds: int, blues: int) -> None:
         """Keep the word with R slots ``reds`` and B slots ``blues`` under
@@ -419,15 +422,20 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
 
     Then, when that bound is at least ``clique`` (the size of a clique of
     the Kneser graph, so that the altermatic bound is the binding lower
-    bound), it tries the ``SEED_ORDERINGS`` seeded shuffles of
-    ``_seed_orderings`` at k = 1, keeping each ordering that raises the
-    bound.  Each search stops at its first word that reaches the bound
-    already held, and a word remembered from an earlier shuffle settles
-    most of them before any walk.  The scan ends once the bound reaches
-    ``ceiling``, an upper bound on chi such as the palette of
-    ``kneser.cut_coloring(h)``, which no ordering can pass.  Only a strict
-    raise replaces the ordering, so a lower ceiling ends the scan sooner
-    but changes no result.
+    bound), it searches more orderings at k = 1, keeping each one that
+    raises the bound.  Each search stops at its first word that reaches
+    the bound already held, and a remembered word settles most of them
+    before any walk.  First come at most n repairs: the word that beat
+    the current ordering (``_refuted``) has one side gathered into a
+    block by ``_repairs``, and the first candidate not yet searched
+    becomes the current ordering, whether or not it raised the bound.
+    Then come the ``SEED_ORDERINGS`` shuffles of ``_seed_orderings``, as
+    without repairs, so the bound never ends below what they alone give:
+    a shuffle still raises any lower bound it beats.  The scan ends once
+    the bound reaches ``ceiling``, an upper bound on chi such as the
+    palette of ``kneser.cut_coloring(h)``, which no ordering can pass.
+    Only a strict raise replaces the ordering, so a lower ceiling ends the
+    scan sooner but changes no result.
     """
     n = h.n
     perm = tuple(range(1, n + 1))
@@ -439,6 +447,18 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
         best, level = n - alt1, 1
     proof = perm
     if best >= clique:
+        tried = {perm}
+        for _ in range(n):
+            # the word that beat ``perm``: the identity's witness, or the
+            # word the last run ended on or was refuted by
+            signs = best < ceiling and search._refuted(perm, n - best)
+            perm = signs and next((p for p in _repairs(perm, signs) if p not in tried), None)
+            if not perm:
+                break
+            tried.add(perm)
+            outcome = search.run(perm, threshold=n - best)
+            if outcome is not None:
+                best, level, proof = n - outcome[0], 1, perm
         for shuffled in _seed_orderings(n):
             if best >= ceiling:
                 break
@@ -446,6 +466,19 @@ def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, t
             if outcome is not None:
                 best, level, proof = n - outcome[0], 1, shuffled
     return best, level, proof
+
+
+def _repairs(perm: tuple[int, ...], signs: bytes):
+    """The orderings that gather one side of the word ``signs`` (slot by
+    slot under ``perm``) into one block, the other vertices kept in order:
+    the larger side first, its block at the side's first slot and then at
+    its last."""
+    for side in sorted(b"RB", key=signs.count, reverse=True):
+        block = tuple(v for v, s in zip(perm, signs) if s == side)
+        if block:
+            rest = tuple(v for v, s in zip(perm, signs) if s != side)
+            for at in (signs.index(side), signs.rindex(side) + 1 - len(block)):
+                yield rest[:at] + block + rest[at:]
 
 
 def _twin_classes(h: Hypergraph) -> list[tuple[int, ...]]:

@@ -14,10 +14,11 @@ value present.  Numbers in both formats are ASCII digits, optionally signed.
 Canonical text, ASCII with no ``#`` and no ``_``, is read in one pass: a
 hypergraph whose lines are ``n <count>`` and then edges of the tokens
 ``1``..``n`` alone, each looked up in a table of vertex bits, and a
-coloring with one integer per line.  Any other text, and any canonical
-text that pass does not accept, is read line by line; that parser raises
-every ``ParseError``, so messages and line numbers do not depend on the
-path taken.
+coloring with one integer per line.  The hypergraph pass first skips the
+leading lines that start with ``#``, the comment ``serialize_hypergraph``
+writes.  Any other text, and any canonical text that pass does not
+accept, is read line by line; that parser raises every ``ParseError``, so
+messages and line numbers do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -56,8 +57,13 @@ def _canonical(text: str) -> bool:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    if _canonical(text):
-        lines = text.splitlines()
+    body = text
+    while body.startswith("#"):
+        comment, _, body = body.partition("\n")
+        if len(comment.splitlines()) > 1:  # a line end other than LF or CRLF
+            return _hypergraph_lines(text)
+    if _canonical(body):
+        lines = body.splitlines()
         try:
             head, count = lines[0].split()
             if head == "n":

@@ -1199,6 +1199,72 @@ def test_seed_bound_is_tight_on_kneser_and_schrijver_families():
             assert seed_of(schrijver_hypergraph(m, r)) == (chi, 1 if r == 1 else 2, identity)
 
 
+def _cut_seed(h, clique=None):
+    """``seed_bound`` as ``chromatic`` calls it, with the cut colouring's
+    palette as the ceiling, and the greedy clique unless ``clique`` is set."""
+    if clique is None:
+        clique = len(greedy_clique(kneser_graph(h)))
+    ceiling = kneser_module.cut_coloring(h).palette
+    return bounds.seed_bound(h, clique=clique, ceiling=ceiling), ceiling
+
+
+def test_seed_bound_is_never_below_the_shuffles():
+    # the repairs come before the same shuffles, so the seed reaches at
+    # least what the identity and the shuffles alone give, up to the
+    # ceiling; a clique of 0 lets every scan run
+    cases = [random_hypergraph(8 + s % 4, 20 + s % 4 * 8, (2, 2), 900 + s) for s in range(32)]
+    cases += [random_hypergraph(6 + s % 5, 6 + s % 5 * 3, (1, 4), 950 + s) for s in range(32)]
+    raised = 0
+    for h in cases:
+        (bound, k, perm), ceiling = _cut_seed(h, clique=0)
+        assert bound == alt_sigma(h, LinearOrder(perm), k).bound
+        orderings = [LinearOrder.identity(h.n), *map(LinearOrder, bounds._seed_orderings(h.n))]
+        shuffled = max(alt_sigma(h, order, 1).bound for order in orderings)
+        floor = max(shuffled, alt_sigma(h, orderings[0], 2).bound)
+        assert bound >= min(ceiling, floor)
+        raised += bound > floor
+    assert raised >= 5
+
+
+def test_repairs_gather_one_side_larger_first():
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        perm = tuple(rng.sample(range(1, n + 1), n))
+        signs = bytes(rng.choice(b"RB\x00") for _ in range(n))
+        counts = {side: signs.count(side) for side in b"RB"}
+        sides = sorted((side for side in b"RB" if counts[side]), key=lambda side: -counts[side])
+        moves = list(bounds._repairs(perm, signs))
+        assert len(moves) == 2 * len(sides)
+        for i, move in enumerate(moves):
+            side = sides[i // 2]
+            block = [v for v, s in zip(perm, signs) if s == side]
+            rest = [v for v, s in zip(perm, signs) if s != side]
+            assert sorted(move) == sorted(perm)
+            start = move.index(block[0])
+            assert list(move[start : start + len(block)]) == block
+            assert [v for v in move if v not in block] == rest
+            # at the side's first slot, then ending at its last
+            assert start == (signs.index(side) if i % 2 == 0 else signs.rindex(side) + 1 - len(block))
+
+
+def test_repairs_reach_the_seed_in_a_few_walks(monkeypatch):
+    # machine-independent work count: from the word that beats the
+    # identity, a few repairs reach chi = 8 on these 2-subset inputs, where
+    # the shuffles took 61 runs (seed 3) or ended at 7 after 130 (seed 31)
+    calls = []
+    run = bounds._AltSearch.run
+
+    def counting_run(self, perm, threshold=None):
+        calls.append(perm)
+        return run(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting_run)
+    assert _cut_seed(random_hypergraph(10, 43, (2, 2), 3))[0][:2] == (8, 1)
+    assert len(calls) <= 8
+    assert _cut_seed(random_hypergraph(10, 43, (2, 2), 31)) == ((8, 1, (1, 3, 8, 2, 4, 5, 6, 7, 9, 10)), 8)
+
+
 def test_chromatic_number_from_the_seed_matches_the_full_ladder():
     cases = [random_hypergraph(4 + s % 5, 1 + s % 14, (1, 3), 600 + s) for s in range(40)]
     cases += [random_hypergraph(7 + s % 3, 14 + s % 3 * 6, (2, 2), 800 + s) for s in range(30)]

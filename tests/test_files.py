@@ -237,6 +237,28 @@ def test_canonical_pass_matches_the_line_parser(monkeypatch):
     assert general == {"h": len(texts), "c": len(texts)}
 
 
+def test_leading_comments_keep_the_table_pass(monkeypatch):
+    # the comment ``serialize_hypergraph`` writes, as ``altermatic gen``
+    # does, is skipped; a comment line that splits into two lines is not
+    texts = [h for h, _, _ in _canonical_texts(random.Random(37), 200)]
+    comments = ("altermatic gen kneser -m 5 -r 2", "two\nlines_, # and \u00e9", "crlf\r\nend")
+    corpus = [files._hypergraph_lines(text) for text in texts]
+    general = []
+    hypergraph_lines = files._hypergraph_lines
+
+    def count_h(text):
+        general.append(text)
+        return hypergraph_lines(text)
+
+    monkeypatch.setattr(files, "_hypergraph_lines", count_h)
+    for i, h in enumerate(corpus):
+        assert parse_hypergraph(serialize_hypergraph(h, comments[i % 3])) == h
+    assert general == []
+    text = "# a\rn 2\nn 3\n1 2\n"
+    assert _outcome(parse_hypergraph, text) == ("line 3: edge line is not whitespace-separated integers: 'n 3'", 3)
+    assert general == [text]
+
+
 @pytest.mark.parametrize(
     "text, outcome",
     [
