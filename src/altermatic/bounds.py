@@ -30,7 +30,7 @@ from .kneser import kneser_graph
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
 # orderings before symmetry reduction.
 FACTORIAL_CAP = 8
-# Seeded shuffles ``seed_bound`` tries after the identity ordering.
+# Seeded shuffles ``lower_bound`` tries after the identity ordering.
 SEED_ORDERINGS = 128
 # Feasible words an ``_AltSearch`` keeps to refute threshold runs unwalked.
 REMEMBERED_WORDS = 4
@@ -206,7 +206,7 @@ class _AltSearch:
         """The signs, slot by slot under ``perm``, of the newest remembered
         word that reaches alt >= threshold, or None if none does.  A sign
         is ``R`` or ``B``, and a 0 slot is a zero byte.  ``run`` needs only
-        the truth value; ``seed_bound`` repairs ``perm`` from the word."""
+        the truth value; ``lower_bound`` repairs ``perm`` from the word."""
         key = bytes(perm)
         for table, zeros in self._words:
             signs = key.translate(table, zeros)
@@ -407,64 +407,54 @@ def alt_sigma(h: Hypergraph, order: LinearOrder, k: int) -> AltReport:
     return AltReport(outcome[0], outcome[1], order, k, "single")
 
 
-def seed_bound(h: Hypergraph, *, clique: int, ceiling: int) -> tuple[int, int, tuple[int, ...]]:
-    """(bound, k, perm): an altermatic lower bound on chi, the level k that
-    gives it and the ordering ``perm`` that proves it, so that ``bound ==
+def lower_bound(h: Hypergraph, *, clique: int, target: int) -> tuple[int, int, tuple[int, ...] | None]:
+    """(bound, k, perm): a lower bound on chi, the level k that proves it
+    and the ordering it holds at, so that for k >= 1 ``bound ==
     alt_sigma(h, LinearOrder(perm), k).bound``.
 
-    It starts from the larger bound of the identity ordering at k = 1 and
-    k = 2.  Both levels are valid when ``h`` has an edge, since then chi >=
-    1 and k <= 2 <= chi + 1; without edges the bound is 0 at k = 1.  alt at
-    k = 2 is at least alt at k = 1, so the k = 2 bound is larger only when
-    the two are equal, and the k = 2 search stops at its first word beyond
-    alt1.  On KG(m,r) the k = 1 bound equals chi; on SG(m,r) only the k = 2
-    one does (Schrijver 1978).
-
-    Then, when that bound is at least ``clique`` (the size of a clique of
-    the Kneser graph, so that the altermatic bound is the binding lower
-    bound), it searches more orderings at k = 1, keeping each one that
-    raises the bound.  Each search stops at its first word that reaches
-    the bound already held, and a remembered word settles most of them
-    before any walk.  First come at most n repairs: the word that beat
-    the current ordering (``_refuted``) has one side gathered into a
-    block by ``_repairs``, and the first candidate not yet searched
-    becomes the current ordering, whether or not it raised the bound.
-    Then come the ``SEED_ORDERINGS`` shuffles of ``_seed_orderings``, as
-    without repairs, so the bound never ends below what they alone give:
-    a shuffle still raises any lower bound it beats.  The scan ends once
-    the bound reaches ``ceiling``, an upper bound on chi such as the
-    palette of ``kneser.cut_coloring(h)``, which no ordering can pass.
-    Only a strict raise replaces the ordering, so a lower ceiling ends the
-    scan sooner but changes no result.
+    The rungs: ``clique``, the size of a clique of the Kneser graph, as
+    k = 0 with perm None; the identity at k = 1, then at k = 2 when H has
+    an edge (so that chi >= 1); then, if the identity's bound is at least
+    ``clique``, at most n repairs (``_repairs``) and then the
+    ``SEED_ORDERINGS`` shuffles at k = 1, so the bound is never below what
+    the shuffles alone give.  Only a strict raise replaces the proof.  The
+    ladder stops once the bound reaches ``target``, say an upper bound on
+    chi; a higher target changes no bound.  On KG(m,r) the k = 1 identity
+    bound is chi, on SG(m,r) the k = 2 one.
     """
     n = h.n
+    best, level, proof = clique, 0, None
+    if best >= target:
+        return best, level, proof
     perm = tuple(range(1, n + 1))
     search = _AltSearch(h, 1)
     alt1 = search.run(perm)[0]
-    if h.edges and _AltSearch(h, 2).run(perm, threshold=alt1 + 1) is not None:
-        best, level = n - alt1 + 1, 2
-    else:
-        best, level = n - alt1, 1
-    proof = perm
-    if best >= clique:
-        tried = {perm}
-        for _ in range(n):
-            # the word that beat ``perm``: the identity's witness, or the
-            # word the last run ended on or was refuted by
-            signs = best < ceiling and search._refuted(perm, n - best)
-            perm = signs and next((p for p in _repairs(perm, signs) if p not in tried), None)
-            if not perm:
-                break
-            tried.add(perm)
-            outcome = search.run(perm, threshold=n - best)
-            if outcome is not None:
-                best, level, proof = n - outcome[0], 1, perm
-        for shuffled in _seed_orderings(n):
-            if best >= ceiling:
-                break
-            outcome = search.run(shuffled, threshold=n - best)
-            if outcome is not None:
-                best, level, proof = n - outcome[0], 1, shuffled
+    identity, k = n - alt1, 1
+    # alt at k = 2 is at least alt1, so k = 2 raises the bound only where they are equal
+    if identity < target and h.edges and _AltSearch(h, 2).run(perm, threshold=alt1 + 1) is not None:
+        identity, k = identity + 1, 2
+    if identity > best:
+        best, level, proof = identity, k, perm
+    elif identity < clique:
+        return best, level, proof  # the clique binds, not the orderings
+    tried = {perm}
+    for _ in range(n):
+        # the word that beat ``perm``: the identity's witness, or the
+        # word the last run ended on or was refuted by
+        signs = best < target and search._refuted(perm, n - best)
+        perm = signs and next((p for p in _repairs(perm, signs) if p not in tried), None)
+        if not perm:
+            break
+        tried.add(perm)
+        outcome = search.run(perm, threshold=n - best)
+        if outcome is not None:
+            best, level, proof = n - outcome[0], 1, perm
+    for shuffled in _seed_orderings(n):
+        if best >= target:
+            break
+        outcome = search.run(shuffled, threshold=n - best)
+        if outcome is not None:
+            best, level, proof = n - outcome[0], 1, shuffled
     return best, level, proof
 
 
@@ -709,7 +699,7 @@ def _sampled_orderings(n: int, samples: int, seed: int):
 
 @functools.cache
 def _seed_orderings(n: int) -> tuple[tuple[int, ...], ...]:
-    """The ``SEED_ORDERINGS`` shuffles of ``seed_bound``, drawn once per n:
+    """The ``SEED_ORDERINGS`` shuffles of ``lower_bound``, drawn once per n:
     ``_sampled_orderings(n, SEED_ORDERINGS, 0)`` without the identity."""
     return tuple(islice(_sampled_orderings(n, SEED_ORDERINGS, 0), 1, None))
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .audit import DEFAULT_STEP_CAP, AuditAnomaly, ProperWithinBound, audit, verify_witness
-from .bounds import FACTORIAL_CAP, AltReport, alt_min, alt_sigma, seed_bound, verify_theorem
+from .bounds import FACTORIAL_CAP, AltReport, alt_min, alt_sigma, lower_bound, verify_theorem
 from .coloring import chromatic_at_most, chromatic_number, greedy_clique, greedy_color_count
 from .core import Hypergraph, LinearOrder, SearchLimitError, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
@@ -134,20 +134,15 @@ def _within_level(h: Hypergraph, rep: AltReport) -> AltReport:
 
     alt < n means KG(H) is not (k-1)-colorable, so k <= chi.  At alt = n
     the bound is k - 1, which holds exactly when KG(H) is not
-    (k-2)-colorable.  For k >= 3 the greedy clique or the k = 1 bound at
-    the identity often proves chi >= k - 1 at once, and when H has an edge
-    (so that k = 2 is a valid level) so does the k = 2 bound, which is chi
-    on SG(m,r); only when none does is (k-2)-colorability decided exactly.
+    (k-2)-colorable.  For k >= 3 the lower-bound ladder (the greedy clique,
+    then orderings at k = 1 and 2) often proves chi >= k - 1 at once; only
+    when it does not is (k-2)-colorability decided exactly.  At k = 2 the
+    decision is whether KG(H) has a vertex, which takes no search.
     """
     if rep.alt_value < h.n or rep.k < 2:
         return rep
     g = kneser_graph(h)
-    identity = LinearOrder.identity(h.n)
-    if rep.k >= 3 and (
-        len(greedy_clique(g)) >= rep.k - 1
-        or alt_sigma(h, identity, 1).bound >= rep.k - 1
-        or (h.edges and alt_sigma(h, identity, 2).bound >= rep.k - 1)
-    ):
+    if rep.k >= 3 and lower_bound(h, clique=len(greedy_clique(g)), target=rep.k - 1)[0] >= rep.k - 1:
         return rep
     if chromatic_at_most(g, rep.k - 2):
         raise ValueError(f"level k={rep.k} exceeds chi+1: the Kneser graph is {rep.k - 2}-colorable")
@@ -172,26 +167,17 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _chi_proof(chi: int, clique: int, seed: int, level: int) -> str:
-    """What proves that the graph needs ``chi`` colors: its greedy clique
-    of size ``clique``, the altermatic bound ``seed`` at ``level``, or else
-    the exact search, which refuted chi - 1 colors."""
-    if chi == clique:
-        return "clique"
-    if chi == seed:
-        return f"altermatic-k{level}"
-    return "search"
-
-
 def _cmd_chromatic(args) -> int:
     with _request(args) as (h, _, report):
         g = kneser_graph(h)
-        clique = len(greedy_clique(g))
         upper = cut_coloring(h)
-        seed, level, _ = seed_bound(h, clique=clique, ceiling=upper.palette)
-        result = chromatic_number(g, lower=max(seed, clique), upper=upper)
+        lower, level, _ = lower_bound(h, clique=len(greedy_clique(g)), target=upper.palette)
+        result = chromatic_number(g, lower=lower, upper=upper)
         report["chi"] = result.number
-        report["chi_proof"] = _chi_proof(result.number, clique, seed, level)
+        if result.number > lower:
+            report["chi_proof"] = "search"  # it refuted chi - 1 colors
+        else:
+            report["chi_proof"] = f"altermatic-k{level}" if level else "clique"
         report["coloring"] = result.coloring.assignment
         # A file is written before the report, so a failed write emits none.
         if args.coloring_out and args.coloring_out != "-":

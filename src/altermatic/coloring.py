@@ -197,10 +197,10 @@ def chromatic_number(
     vertex always does.  ``lower`` must be a proven lower bound on the
     chromatic number, such as an altermatic bound: the rungs below it are
     never tried.  Without ``lower`` the ladder starts at the greedy clique
-    size; a caller that holds that clique passes the larger of the two, so
-    that it is not grown twice.  ``upper``, when given, must be a proper
-    coloring of ``g``, such as ``kneser.cut_coloring``: the ladder ends at its
-    palette, where it returns ``upper`` itself without deciding.  Else the
+    size, which ``bounds.lower_bound``'s bound already includes.  ``upper``,
+    when given, must be a proper coloring of ``g``, such as
+    ``kneser.cut_coloring``: the ladder ends at its palette, where it
+    returns ``upper`` itself without deciding.  Else the
     witness is the decision's coloring at the returned budget, which does
     not depend on ``lower``.  Since every smaller budget fails, the
     witness uses exactly the returned number of colors either way.

@@ -364,7 +364,7 @@ def test_level_two_search_asks_no_coloring_question(monkeypatch):
         g = graphs[h]
         levels.clear()
         clique, ceiling = len(greedy_clique(g)), greedy_color_count(g)
-        assert bounds.seed_bound(h, clique=clique, ceiling=ceiling)[:2] == expected
+        assert bounds.lower_bound(h, clique=clique, target=ceiling)[:2] == expected
         assert levels and set(levels) == {2}
     rep = alt_sigma(complete_uniform(16, 5), LinearOrder.identity(16), 2)
     assert (rep.alt_value, rep.witness.word()) == (9, "0000000RBRBRBRBR")
@@ -1156,9 +1156,9 @@ def test_verify_theorem_rejects_large_k():
 
 
 def seed_of(h):
-    """``seed_bound`` as ``chromatic`` calls it."""
+    """``lower_bound`` as ``chromatic`` calls it."""
     g = kneser_graph(h)
-    return bounds.seed_bound(h, clique=len(greedy_clique(g)), ceiling=greedy_color_count(g))
+    return bounds.lower_bound(h, clique=len(greedy_clique(g)), target=greedy_color_count(g))
 
 
 def test_seed_bound_is_proven_by_its_ordering_and_at_most_chi():
@@ -1170,42 +1170,69 @@ def test_seed_bound_is_proven_by_its_ordering_and_at_most_chi():
     for h in cases:
         g = kneser_graph(h)
         clique, ceiling = len(greedy_clique(g)), greedy_color_count(g)
-        bound, k, perm = bounds.seed_bound(h, clique=clique, ceiling=ceiling)
-        assert bound == alt_sigma(h, LinearOrder(perm), k).bound
+        bound, k, perm = bounds.lower_bound(h, clique=clique, target=ceiling)
+        assert bound == (alt_sigma(h, LinearOrder(perm), k).bound if k else clique)
         identity = LinearOrder.identity(h.n)
         b1, b2 = alt_sigma(h, identity, 1).bound, alt_sigma(h, identity, 2).bound
         first = (b2, 2, identity.perm) if b2 > b1 else (b1, 1, identity.perm)
-        assert first[0] <= bound <= chromatic_number(g).number <= ceiling
+        assert max(first[0], clique) <= bound <= chromatic_number(g).number <= ceiling
         if first[0] < clique or first[0] >= ceiling or bound == first[0]:
-            # the scan did not run, or no shuffle raised the bound
-            assert (bound, k, perm) == first
+            # the scan did not run, or no shuffle raised the bound; only a
+            # strict raise replaces the clique
+            assert (bound, k, perm) == (first if first[0] > clique else (clique, 0, None))
         else:
             assert k == 1 and perm != identity.perm
             raised += 1
-        # the gate and the ceiling alone keep the identity bound
-        assert bounds.seed_bound(h, clique=first[0] + 1, ceiling=ceiling + 1) == first
-        assert bounds.seed_bound(h, clique=0, ceiling=first[0]) == first
+        # the gate closes on a larger clique, and the target alone keeps
+        # the identity bound
+        assert bounds.lower_bound(h, clique=first[0] + 1, target=ceiling + 1) == (first[0] + 1, 0, None)
+        assert bounds.lower_bound(h, clique=0, target=first[0]) == first
     assert raised >= 20
-    assert seed_of(Hypergraph(4, ())) == (0, 1, (1, 2, 3, 4))
+    assert seed_of(Hypergraph(4, ())) == (0, 0, None)
+
+
+def test_lower_bound_at_its_target_searches_no_ordering(monkeypatch):
+    # a clique that already reaches the target is the bound, at k = 0,
+    # whatever the orderings would give
+    calls = []
+    run = bounds._AltSearch.run
+
+    def counting_run(self, perm, threshold=None):
+        calls.append(perm)
+        return run(self, perm, threshold)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting_run)
+    cases = [complete_uniform(m, r) for m in range(2, 9) for r in range(1, m // 2 + 1)]
+    cases += [random_hypergraph(6 + s % 4, 8 + s % 5 * 4, (2, 3), 400 + s) for s in range(20)]
+    for h in cases:
+        clique = len(greedy_clique(kneser_graph(h)))
+        for target in range(clique + 1):
+            assert bounds.lower_bound(h, clique=clique, target=target) == (clique, 0, None)
+        assert bounds.lower_bound(h, clique=clique + 5, target=clique + 5) == (clique + 5, 0, None)
+    assert calls == []
 
 
 def test_seed_bound_is_tight_on_kneser_and_schrijver_families():
     # k = 1 is tight on KG(m,r); on SG(m,r), r >= 2, only k = 2 is, and no
-    # shuffle can pass chi, so the identity stays the proof
+    # shuffle can pass chi, so the identity stays the proof, except where
+    # the greedy clique is already chi (r = 1 or m = 2r)
     for m in range(2, 10):
         for r in range(1, m // 2 + 1):
             chi, identity = m - 2 * r + 2, tuple(range(1, m + 1))
+            if r == 1 or m == 2 * r:
+                assert seed_of(complete_uniform(m, r)) == seed_of(schrijver_hypergraph(m, r)) == (chi, 0, None)
+                continue
             assert seed_of(complete_uniform(m, r)) == (chi, 1, identity)
-            assert seed_of(schrijver_hypergraph(m, r)) == (chi, 1 if r == 1 else 2, identity)
+            assert seed_of(schrijver_hypergraph(m, r)) == (chi, 2, identity)
 
 
 def _cut_seed(h, clique=None):
-    """``seed_bound`` as ``chromatic`` calls it, with the cut colouring's
-    palette as the ceiling, and the greedy clique unless ``clique`` is set."""
+    """``lower_bound`` as ``chromatic`` calls it, with the cut colouring's
+    palette as the target, and the greedy clique unless ``clique`` is set."""
     if clique is None:
         clique = len(greedy_clique(kneser_graph(h)))
     ceiling = kneser_module.cut_coloring(h).palette
-    return bounds.seed_bound(h, clique=clique, ceiling=ceiling), ceiling
+    return bounds.lower_bound(h, clique=clique, target=ceiling), ceiling
 
 
 def test_seed_bound_is_never_below_the_shuffles():

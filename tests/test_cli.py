@@ -182,9 +182,10 @@ def test_chi_proof_names_clique_or_search(capsys, tmp_path, monkeypatch, h, chi,
     # the clique, or a shuffled ordering's altermatic bound (R(6,12): the
     # identity gives 3), or else the exact search: R(6,10) needs it, since
     # its least alt over all orderings gives 3 at both k = 1 and k = 2.
-    # The command passes max(seed, clique) to the ladder as its proven
-    # lower bound, so outside the decision procedure, which grows a clique
-    # of its own per rung, the greedy clique is grown once per request
+    # The command passes the lower-bound ladder's bound, which includes
+    # the clique, to the decision as its proven lower bound, so outside
+    # the decision procedure, which grows a clique of its own per rung,
+    # the greedy clique is grown once per request
     grown = []
     real = coloring.greedy_clique
 
@@ -574,6 +575,27 @@ def test_level_within_the_k2_bound_skips_the_colouring(capsys, tmp_path, monkeyp
     code, out, _ = run(capsys, "altsigma", "-H", str(path), "-k", "8")
     assert code == 0
     assert report_dict(out)["bound"] == "7"
+
+
+@pytest.mark.parametrize("seed", [3, 31])
+def test_level_within_a_repaired_bound_skips_the_colouring(capsys, tmp_path, monkeypatch, seed):
+    # chi = 8 on these 2-subset inputs: every word is feasible at k = 9 and
+    # k = 10, the greedy clique and the identity's bounds fall short of 8,
+    # and the ladder's repairs reach 8, so k = 9 needs no exact refutation
+    # of 7 colours; k = 10 still does decide, and is refused
+    path = tmp_path / "r.hg"
+    path.write_text(serialize_hypergraph(random_hypergraph(10, 43, (2, 2), seed)))
+    code, out, err = run(capsys, "altsigma", "-H", str(path), "-k", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: level k=10 exceeds chi+1")
+
+    def refuse(*_):
+        raise AssertionError("a proven level started colouring")
+
+    monkeypatch.setattr(cli, "chromatic_at_most", refuse)
+    code, out, _ = run(capsys, "altsigma", "-H", str(path), "-k", "9")
+    assert code == 0
+    assert report_dict(out)["bound"] == "8"
 
 
 def test_level_chi_plus_one_still_bounds(capsys, tmp_path):
