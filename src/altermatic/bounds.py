@@ -24,7 +24,7 @@ from itertools import combinations, islice, permutations
 from operator import or_
 
 from .core import Hypergraph, LinearOrder, SignVector, vertices_of
-from .coloring import chromatic_at_most, chromatic_number
+from .coloring import chromatic_at_most, chromatic_number, greedy_color_count
 from .kneser import kneser_graph
 
 # Largest n for which exhaustive ordering scans are allowed: 8! = 40,320
@@ -705,7 +705,7 @@ def _seed_orderings(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def alt_min(
-    h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0, ceiling: int | None = None
+    h: Hypergraph, k: int, *, samples: int | None = None, seed: int = 0, theorem_floor: bool = False
 ) -> AltReport:
     """Minimum of the per-ordering maxima, exhaustive or sampled.
 
@@ -733,15 +733,14 @@ def alt_min(
     be strictly lower, and only a strictly lower one replaces it, so the
     stop changes no report.
 
-    - The theorem's floor, max(0, n + k - 1 - ``ceiling``), in either
-      mode.  When some word is infeasible, KG(H) is not (k-1)-colorable,
-      so chi >= k and the theorem gives chi >= n - alt + k - 1 for every
-      ordering: no ordering has alt below n + k - 1 - chi.  Otherwise
-      every ordering has alt n, and the identity's report is the one a
-      full scan gives, wherever the scan stops.  ``ceiling`` must be a
-      proven upper bound on chi, such as ``coloring.greedy_color_count``
-      of ``kneser_graph(h)``; never pass a bound derived from the
-      altermatic bound itself.  Without it this floor is 0.
+    - With ``theorem_floor``, the theorem's floor n + k - 1 - U in either
+      mode, where U is one DSATUR count of KG(H), made only when the scan
+      would go on past the identity and the half floor.  When some word is
+      infeasible, KG(H) is not (k-1)-colorable, so chi >= k and the theorem
+      gives alt >= n + k - 1 - chi >= n + k - 1 - U for every ordering.
+      Otherwise every ordering has alt n, and the identity's report is the
+      one a full scan gives, wherever the scan stops.  ``verify_theorem``
+      leaves it off: this floor assumes the theorem it checks.
     - The half floor: the largest size s of a vertex set S whose edges
       of at most ceil(s/2) vertices form a feasible survivor set.  Under
       any ordering the word that alternates along S has alt s and puts
@@ -750,7 +749,7 @@ def alt_min(
       the word is feasible by downward closure.  At k <= 2 this is the
       largest S whose balanced splits are all feasible.  It is at least
       the size of the largest feasible one-sided word (R = S, B = 0).
-      This floor assumes no theorem and no ceiling, so ``verify_theorem``
+      This floor assumes no theorem and no coloring, so ``verify_theorem``
       may stop at it and its check stays independent.  It is found by
       ``_half_floor``.  A scanned ordering whose alt falls below it
       contradicts that argument, so it raises ``AssertionError`` rather
@@ -766,20 +765,15 @@ def alt_min(
     search = _AltSearch(h, k)
     mode = "exhaustive" if samples is None else "sampled"
 
-    # both scans start at the identity, so the half floor and the symmetry
-    # of H are searched for only when the scan goes on past it
     identity = tuple(range(1, n + 1))
     best = (*search.run(identity), identity)
-    floor = 0 if ceiling is None else max(0, n + k - 1 - ceiling)
-    half = 0
-    if best[0] > floor:
-        if samples is None:
-            half = _half_floor(search, floor, best[0])
-        elif best[0] == n and k <= 2:
-            # the half floor's first size alone: no search at k = 1 and one
-            # clash scan at k = 2
-            half = _half_floor(search, n - 1, n)
-    stop = max(floor, half)
+    if samples is None:
+        half = _half_floor(search, 0, best[0])
+    else:  # its first size alone: no search at k = 1, one clash scan at k = 2
+        half = _half_floor(search, n - 1, n) if best[0] == n and k <= 2 else 0
+    stop = half
+    if best[0] > stop and theorem_floor:
+        stop = max(stop, n + k - 1 - greedy_color_count(kneser_graph(h)))
     if best[0] > stop:
         if samples is None:
             classes = _twin_classes(h)

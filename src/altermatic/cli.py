@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .audit import DEFAULT_STEP_CAP, AuditAnomaly, ProperWithinBound, audit, verify_witness
 from .bounds import FACTORIAL_CAP, AltReport, alt_min, alt_sigma, lower_bound, verify_theorem
-from .coloring import chromatic_at_most, chromatic_number, greedy_clique, greedy_color_count
+from .coloring import chromatic_at_most, chromatic_number, greedy_clique
 from .core import Hypergraph, LinearOrder, SearchLimitError, vertices_of
 from .files import ParseError, parse_coloring, parse_hypergraph, serialize_coloring, serialize_hypergraph
 from .kneser import complete_uniform, cut_coloring, kneser_graph, random_hypergraph, schrijver_hypergraph
@@ -202,8 +202,7 @@ def _cmd_altsigma(args) -> int:
 def _cmd_altbound(args) -> int:
     with _request(args) as (h, _, report):
         samples, seed = _alt_mode(args, h.n)
-        ceiling = greedy_color_count(kneser_graph(h))
-        rep = _within_level(h, alt_min(h, args.k, samples=samples, seed=seed, ceiling=ceiling))
+        rep = _within_level(h, alt_min(h, args.k, samples=samples, seed=seed, theorem_floor=True))
         report["sigma_mode"] = rep.sigma_mode
         if samples is not None:
             report["samples"] = samples

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .coloring import Coloring
-from .core import Hypergraph, SimpleGraph, _trusted_graph, mask_of, vertices_of
+from .core import Hypergraph, SimpleGraph, _trusted_graph, mask_of, vertex_cap, vertices_of
 
 
 def kneser_graph(h: Hypergraph) -> SimpleGraph:
@@ -74,6 +74,8 @@ def complete_uniform(m: int, r: int) -> Hypergraph:
     """
     if r < 1 or r > m:
         raise ValueError(f"need 1 <= r <= m, got r={r}, m={m}")
+    if m > vertex_cap():
+        raise ValueError(f"vertex count {m} exceeds vertex cap {vertex_cap()}")
     return Hypergraph(m, tuple(mask_of(c) for c in combinations(range(1, m + 1), r)))
 
 
@@ -87,6 +89,8 @@ def schrijver_hypergraph(m: int, r: int) -> Hypergraph:
         raise ValueError(f"subset size must be positive, got {r}")
     if m < 2 * r:
         raise ValueError(f"need m >= 2r for stable subsets to exist, got m={m}, r={r}")
+    if m > vertex_cap():
+        raise ValueError(f"vertex count {m} exceeds vertex cap {vertex_cap()}")
     edges = []
     for c in combinations(range(1, m + 1), r):
         stable = all(c[i + 1] - c[i] >= 2 for i in range(len(c) - 1))
@@ -127,6 +131,8 @@ def random_hypergraph(n: int, ecount: int, sizes: tuple[int, int], seed: int) ->
         raise ValueError(f"need 1 <= lo <= hi <= n, got sizes={sizes}, n={n}")
     if ecount < 1:
         raise ValueError(f"edge count must be positive, got {ecount}")
+    if n > vertex_cap():
+        raise ValueError(f"vertex count {n} exceeds vertex cap {vertex_cap()}")
     available = _count_subsets(n, lo, hi)
     if ecount > available:
         raise ValueError(f"requested {ecount} edges but only {available} subsets of size {lo}..{hi} exist")

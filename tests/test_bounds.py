@@ -332,7 +332,7 @@ def test_level_two_feasibility_matches_the_coloring_scan(instance):
 def test_level_two_search_asks_no_coloring_question(monkeypatch):
     # machine-independent work count: the k = 2 search answers from clash
     # masks alone.  SG(11,2) is where the k = 2 seed is tight; on the
-    # R(10,43) input the k = 2 search runs and a k = 1 shuffle wins
+    # R(10,43) input the k = 2 search runs and a k = 1 repair wins
     cases = {schrijver_hypergraph(11, 2): (9, 2), random_hypergraph(10, 43, (2, 2), 3): (8, 1)}
     graphs = {h: kneser_graph(h) for h in cases}
     calls, levels = [], []
@@ -617,26 +617,21 @@ def floor_instances(draw):
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(floor_instances(), st.integers(0, 3))
 def test_ceiling_changes_no_report(instance, seed):
-    # oracle: the scan without a ceiling; both the DSATUR count and the
-    # exact chi are proven upper bounds, so stopping at either floor
-    # keeps alt, sigma and witness in both modes
+    # oracle: the scan without the theorem's floor; the DSATUR count is a
+    # proven upper bound on chi, so stopping at its floor keeps alt, sigma
+    # and witness in both modes
     h, k = instance
-    g = kneser_graph(h)
-    for ceiling in (greedy_color_count(g), reference.chromatic_by_enumeration(g)):
-        assert alt_min(h, k, ceiling=ceiling) == alt_min(h, k)
-        assert alt_min(h, k, samples=12, seed=seed, ceiling=ceiling) == alt_min(h, k, samples=12, seed=seed)
+    assert alt_min(h, k, theorem_floor=True) == alt_min(h, k)
+    assert alt_min(h, k, samples=12, seed=seed, theorem_floor=True) == alt_min(h, k, samples=12, seed=seed)
 
 
 def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
-    # machine-independent work count.  SG(8,2) at k = 2 has bound 6 =
-    # DSATUR at the identity, so one ordering settles it; at k = 1 its
-    # bound is chi - 1 and the full scan of its 2,520 orderings, which hold
-    # one per orbit of its dihedral group with reversal, stays.
-    # verify_theorem passes no ceiling, since the theorem's floor assumes
-    # the theorem it checks.  At k = 2 the half floor stops it at the
-    # identity instead: the largest vertex set whose edges (each of 2
-    # vertices) pairwise intersect, such as {1, 3, 5}, has 3 vertices, the
-    # identity's alt.
+    # machine-independent work count.  At k = 2 the half floor stops both
+    # scans of SG(8,2) at the identity: the largest vertex set whose edges
+    # (each of 2 vertices) pairwise intersect, such as {1, 3, 5}, has 3
+    # vertices, the identity's alt.  At k = 1 its bound is chi - 1, so no
+    # floor is met and the full scan of its 2,520 orderings, which hold one
+    # per orbit of its dihedral group with reversal, stays.
     calls = []
     run = bounds._AltSearch.run
 
@@ -646,15 +641,43 @@ def test_scan_stops_at_the_floor_only_where_given_a_ceiling(monkeypatch):
 
     monkeypatch.setattr(bounds._AltSearch, "run", counting)
     h = schrijver_hypergraph(8, 2)
-    ceiling = greedy_color_count(kneser_graph(h))
     for scan, expected in (
-        (lambda: alt_min(h, 2, ceiling=ceiling), 1),
-        (lambda: alt_min(h, 1, ceiling=ceiling), 2520),
+        (lambda: alt_min(h, 2, theorem_floor=True), 1),
+        (lambda: alt_min(h, 1, theorem_floor=True), 2520),
         (lambda: verify_theorem(h, 2), 1),
     ):
         calls.clear()
         scan()
         assert len(calls) == expected
+
+
+def test_theorem_floor_makes_one_dsatur_pass_only_where_the_scan_needs_it(monkeypatch):
+    # machine-independent work count.  R(6,16) at k = 1: the identity's alt
+    # is 5 and the half floor 3, so alt_min counts DSATUR colours once
+    # (U = 2) and stops at the floor 6 + 1 - 1 - 2 = 4 after 4 orderings.
+    # verify_theorem leaves that floor off, since the floor assumes the
+    # theorem it checks, and scans 360 orderings without a DSATUR pass
+    h = random_hypergraph(6, 16, (2, 4), 9)
+    runs, passes = [], []
+    run, real = bounds._AltSearch.run, greedy_color_count
+
+    def counting_run(self, perm, threshold=None):
+        runs.append(perm)
+        return run(self, perm, threshold)
+
+    def counting_pass(g):
+        passes.append(g.vcount)
+        return real(g)
+
+    monkeypatch.setattr(bounds._AltSearch, "run", counting_run)
+    for module in (bounds, coloring_module):
+        monkeypatch.setattr(module, "greedy_color_count", counting_pass, raising=False)
+    assert alt_min(h, 1, theorem_floor=True).alt_value == 4
+    assert (len(runs), passes) == (4, [len(h.edges)])
+    runs.clear()
+    passes.clear()
+    assert verify_theorem(h, 1).report.alt_value == 4
+    assert (len(runs), passes) == (360, [])
 
 
 def test_verify_stops_at_the_free_floor(monkeypatch):

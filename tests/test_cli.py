@@ -144,7 +144,7 @@ def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch,
     # palette, so the ladder starts and ends at chi: it returns the cut
     # colouring and makes no decision on the command's Kneser graph.  On
     # the random 2-subset inputs the identity bound is below chi and a
-    # shuffled ordering proves it.  The k = 2 seed search decides survivor
+    # repaired ordering proves it.  The k = 2 seed search decides survivor
     # graphs of its own, which are not counted.
     graphs, budgets = [], []
     real_kneser, real_decide = cli.kneser_graph, coloring._decide
@@ -179,7 +179,7 @@ def test_chromatic_decides_once_on_tight_families(capsys, tmp_path, monkeypatch,
     ids=["KG(4,2)", "R(6,12)", "R(6,10)"],
 )
 def test_chi_proof_names_clique_or_search(capsys, tmp_path, monkeypatch, h, chi, proof):
-    # the clique, or a shuffled ordering's altermatic bound (R(6,12): the
+    # the clique, or a repaired ordering's altermatic bound (R(6,12): the
     # identity gives 3), or else the exact search: R(6,10) needs it, since
     # its least alt over all orderings gives 3 at both k = 1 and k = 2.
     # The command passes the lower-bound ladder's bound, which includes
@@ -233,9 +233,10 @@ def test_altbound_pairs_of_five(capsys, tmp_path):
     assert rep["sigma-mode"] == "exhaustive"
 
 
-def test_altbound_stops_at_the_dsatur_floor(capsys, tmp_path, monkeypatch):
-    # SG(8,2) at k = 2: bound 6 = DSATUR at the identity, so the command
-    # passes that ceiling and runs one ordering, where the full scan runs 8!/2
+def test_altbound_stops_at_the_half_floor(capsys, tmp_path, monkeypatch):
+    # SG(8,2) at k = 2: the identity's alt 3 is the half floor ({1, 3, 5}
+    # holds pairwise intersecting edges), so the command runs one ordering,
+    # where the full scan runs 8!/2, and makes no DSATUR pass
     path = tmp_path / "sg82.hg"
     path.write_text(serialize_hypergraph(schrijver_hypergraph(8, 2)))
     calls = []
@@ -250,6 +251,25 @@ def test_altbound_stops_at_the_dsatur_floor(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert report_dict(out)["bound"] == "6"
     assert len(calls) == 1
+
+
+def test_altbound_makes_no_dsatur_pass_that_the_half_floor_settles(capsys, tmp_path, monkeypatch):
+    # KG(8,3) at k = 1: the identity's alt 4 is the half floor, so the
+    # theorem's floor, whose DSATUR count of KG(H) is 5, is never needed
+    passes = []
+    real = coloring.greedy_color_count
+
+    def counting(g):
+        passes.append(g.vcount)
+        return real(g)
+
+    for module in (cli, bounds, coloring):
+        monkeypatch.setattr(module, "greedy_color_count", counting, raising=False)
+    path = write_kneser(tmp_path, 8, 3)
+    code, out, _ = run(capsys, "altbound", "-H", path, "-k", "1", "--exhaustive")
+    assert code == 0
+    assert (report_dict(out)["alt"], report_dict(out)["bound"]) == ("4", "4")
+    assert passes == []
 
 
 def test_altsigma_defaults_to_identity(capsys, tmp_path):

@@ -13,7 +13,7 @@ from altermatic import (
     schrijver_hypergraph,
     vertices_of,
 )
-from altermatic import bounds, reference
+from altermatic import bounds, kneser, reference
 from altermatic.kneser import cut_coloring
 
 
@@ -193,6 +193,31 @@ def test_schrijver_subset_of_complete():
         stable = set(schrijver_hypergraph(m, r).edges)
         full = set(complete_uniform(m, r).edges)
         assert stable < full
+
+
+def test_generators_refuse_a_ground_set_above_the_cap_before_listing_subsets(monkeypatch):
+    # KG(64,32) has C(64,32) edges, and counting the subsets of sizes
+    # 1..50,000 of a 100,000-set runs for more than 5 s; the cap refuses
+    # both at once.  Argument errors keep their own messages.
+    def unreachable(*args):
+        raise AssertionError("subsets listed or counted above the vertex cap")
+
+    monkeypatch.setattr(kneser, "combinations", unreachable)
+    monkeypatch.setattr(kneser, "comb", unreachable)
+    for make, n in (
+        (lambda: complete_uniform(64, 32), 64),
+        (lambda: schrijver_hypergraph(70, 30), 70),
+        (lambda: random_hypergraph(100_000, 1, (1, 50_000), seed=0), 100_000),
+    ):
+        with pytest.raises(ValueError, match=f"^vertex count {n} exceeds vertex cap 63$"):
+            make()
+    for make, message in (
+        (lambda: complete_uniform(64, 65), "need 1 <= r <= m"),
+        (lambda: schrijver_hypergraph(70, 36), "need m >= 2r"),
+        (lambda: random_hypergraph(100_000, 0, (1, 2), seed=0), "edge count must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_random_hypergraph_deterministic():
