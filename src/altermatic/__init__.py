@@ -27,7 +27,6 @@ from .audit import (
     AuditAnomaly,
     AuditContext,
     ProperWithinBound,
-    Violation,
     Witness,
     audit,
     neighbors,
@@ -56,7 +55,6 @@ __all__ = [
     "SignVector",
     "SimpleGraph",
     "TheoremCheck",
-    "Violation",
     "Witness",
     "alt",
     "alt_min",

@@ -8,7 +8,9 @@ sequences", each a plain tuple of signed steps, see ``neighbors``) form a
 graph under two local rewrite rules, and the structure of that graph
 forces any walk from the empty chain to run into a contradiction.  The
 contradiction is a level tie, which is always concrete - two disjoint
-hyperedges carrying the same color - and is returned as a ``Witness``.
+hyperedges carrying the same color - so ``AuditContext.level`` and
+``neighbors`` return a tie as its ``Witness``.  A rule that fails instead
+raises ``AuditAnomaly`` where it is found.
 
 Levels and chains live in ordering slots ("positions"); whenever a level
 needs to look at actual hyperedges, the position sets are pushed through
@@ -32,7 +34,9 @@ DEFAULT_STEP_CAP = 10_000_000
 
 class AuditAnomaly(RuntimeError):
     """An internal consistency rule failed; indicates an implementation bug
-    (or a degenerate regime the rules do not cover), never a bad input."""
+    (or a degenerate regime the rules do not cover), never a bad input to
+    ``audit``.  Also raised for a chain given to ``neighbors`` that is not
+    permissible."""
 
 
 @dataclass(frozen=True)
@@ -57,20 +61,8 @@ class ProperWithinBound:
     steps: int
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A level tie or rule failure met while levelling a chain.
-
-    Carries a verified ``witness`` when the failure certifies the coloring
-    improper, otherwise a diagnostic ``detail`` describing the anomaly.
-    """
-
-    witness: Witness | None
-    detail: str
-
-
-LevelOutcome = Union[int, Violation]
-NeighborOutcome = Union[list[tuple[int, ...]], Violation]
+LevelOutcome = Union[int, Witness]
+NeighborOutcome = Union[list[tuple[int, ...]], Witness]
 
 
 class AuditContext:
@@ -85,7 +77,9 @@ class AuditContext:
     and each chain that call produced with the one pair index it changes
     (0 for a mirror).  A walk step asks for one of those chains, so it
     levels one new pair instead of every prefix; the lists are updated in
-    place.
+    place.  A mirror negates the levels it has: swapping the sides of a
+    nonempty pair keeps alt and moves the earliest signed position to the
+    other side (low band), or swaps the two peaks (high band).
     """
 
     def __init__(self, h: Hypergraph, c: Coloring, k: int, order: LinearOrder | None = None):
@@ -135,15 +129,16 @@ class AuditContext:
 
     def level(self, reds: int, blues: int) -> LevelOutcome:
         """Signed level of the position-space pair (reds, blues), or the
-        ``Violation`` of a level tie.
+        ``Witness`` of a level tie.
 
         Low band: plus or minus (alt + 1) while alt stays within the
         feasibility ceiling, positive when the blues are empty or the
         earliest signed position is red.  High band: ceiling + (maximum
         color enclosed by either side) - k + 2, signed by the side
         attaining it.  Values beyond n can only appear when the palette
-        exceeds the audited regime.  A pair whose sides tie gets a
-        ``Violation`` instead, so a chain is checked as it is levelled.
+        exceeds the audited regime.  A pair whose sides tie gets the
+        tie's ``Witness`` instead (two disjoint edges of one color, which
+        the tie always has), so a chain is checked as it is levelled.
 
         Nested pairs never carry opposite levels v and -v: adding positions
         never lowers alt, and flips the low-band sign only by inserting a
@@ -177,11 +172,10 @@ class AuditContext:
             # feasibility ceiling) but carry fewer than k color classes, so
             # some class holds a disjoint pair; only reachable for k >= 2
             # with an improper coloring.
-            return Violation(self._monochromatic_survivors(reds, blues), "level tie")
+            return self._monochromatic_survivors(reds, blues)
         if hr == hb:
             assert pr is not None and pb is not None
-            witness = Witness(pr, pb, hr, SignVector(self.n, reds, blues))
-            return Violation(witness, "level tie")
+            return Witness(pr, pb, hr, SignVector(self.n, reds, blues))
         magnitude = self.alt_value + max(hr, hb) - self.k + 2
         assert magnitude >= self.alt_value + 2
         return magnitude if hr > hb else -magnitude
@@ -238,13 +232,14 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
     reachable when the palette exceeds the audited regime), which is what
     lets beyond-regime walks terminate.  ``steps`` itself is checked here,
     not the chains it produces, which are checked when they are levelled in
-    turn: the first level tie along ``steps``, a step missing from its
-    levels, and any failure of the dichotomy comes back as a ``Violation``
-    - with a witness whenever the failure certifies the coloring improper.
+    turn: the first level tie along ``steps`` comes back as its
+    ``Witness``, and a step missing from its levels or any failure of the
+    dichotomy raises ``AuditAnomaly``.
 
     A chain produced by the last call on ``ctx`` is levelled from that
     call's prefix pairs (see ``AuditContext``): a swap or an append levels
-    its one new prefix, a drop none, a mirror every prefix in order.  Its
+    its one new prefix, a drop none, and a mirror none, as it negates the
+    levels it has.  Its
     steps need no check, as they are valid by construction: swaps, drops
     and mirrors keep the positions, and an append adds a nonzero level
     within 1..n in absolute value whose position is checked to be free.
@@ -278,20 +273,15 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
             blues.append(b)
             if tie is None:
                 lv = level(r, b)
-                if isinstance(lv, Violation):
+                if isinstance(lv, Witness):
                     tie = lv
                 else:
                     values.append(lv)
     elif j == 0:
-        # a mirror: every pair changes sides, so re-level them in order
+        # a mirror: every nonempty pair swaps sides, negating its level
         reds, blues = blues, reds
         ctx._last = (reds, blues, values, made)
-        for i in range(1, m + 1):
-            lv = level(reds[i], blues[i])
-            if isinstance(lv, Violation):
-                tie = lv
-                break
-            values[i] = lv
+        values[1:] = [-v for v in values[1:]]
     elif j > m:
         # a drop: the last pair goes
         del reds[-1], blues[-1], values[-1]
@@ -305,7 +295,7 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
         else:
             b |= 1 << (-s - 1)
         lv = level(r, b)
-        if isinstance(lv, Violation):
+        if isinstance(lv, Witness):
             tie = lv
         elif j < len(reds):
             reds[j], blues[j], values[j] = r, b, lv
@@ -318,7 +308,7 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
     support = set(steps)
     seen = set(values)
     if not support <= seen:
-        return Violation(None, f"chain {steps} is not permissible (levels {values})")
+        raise AuditAnomaly(f"chain {steps} is not permissible (levels {values})")
 
     # the m + 1 levels hold the m steps, so either one level repeats (and
     # the support is all of them) or one level misses the support; each
@@ -327,12 +317,11 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
         val = sum(values) - sum(seen)
         i = values.index(val)
         if values[i + 1] != val:
-            return Violation(
-                None,
-                f"rule dichotomy failed: plateaus at [], unmatched levels at [], levels {values}",
+            raise AuditAnomaly(
+                f"rule dichotomy failed: plateaus at [], unmatched levels at [], levels {values}"
             )
         if i == 0:
-            return Violation(None, f"level 1 repeated at the chain root; levels {values}")
+            raise AuditAnomaly(f"level 1 repeated at the chain root; levels {values}")
         made[_swapped(steps, i)] = i
         if i < m - 1:
             made[_swapped(steps, i + 1)] = i + 1
@@ -345,10 +334,7 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
             # val itself is missing from the support, so only -val can hold
             # its position
             if -val in support:
-                return Violation(
-                    None,
-                    f"append target {val} collides with step {-val} of chain {steps}",
-                )
+                raise AuditAnomaly(f"append target {val} collides with step {-val} of chain {steps}")
             made[steps + (val,)] = m + 1
         if m > 0:
             if i == 0:
@@ -385,8 +371,8 @@ def audit(
     after the first is one the previous call produced, so ``neighbors``
     levels only the pair it changes.  While the
     coloring uses at most n - alt + k - 2 colors, every interior vertex has
-    exactly two neighbors unless a rule violation reveals a witness, and a
-    violation must eventually occur, so the walk is the constructive proof
+    exactly two neighbors unless a level tie reveals a witness, and a tie
+    must eventually occur, so the walk is the constructive proof
     that such colorings are improper.  Wider palettes may let the walk
     reach another degree-one chain; the coloring then gets a direct
     properness scan, returning ``ProperWithinBound`` when it passes and the
@@ -403,17 +389,15 @@ def audit(
         raise ValueError("step cap must be positive")
     ctx = AuditContext(h, c, k, order)
 
-    def settle(v: Violation) -> Witness:
-        if v.witness is None:
-            raise AuditAnomaly(v.detail)
-        if not verify_witness(v.witness, h, c):
-            raise AuditAnomaly(f"witness failed re-verification: {v.witness}")
-        return v.witness
+    def settle(w: Witness) -> Witness:
+        if not verify_witness(w, h, c):
+            raise AuditAnomaly(f"witness failed re-verification: {w}")
+        return w
 
     prev, cur, steps = None, (), 0
     while True:
         outcome = neighbors(cur, ctx)
-        if isinstance(outcome, Violation):
+        if isinstance(outcome, Witness):
             return settle(outcome)
         onward = [q for q in outcome if q != prev]
         if prev is not None and len(onward) == len(outcome):
@@ -425,8 +409,7 @@ def audit(
             if clash is None:
                 return ProperWithinBound(steps)
             a, b = clash
-            witness = Witness(a, b, c.assignment[a], SignVector(h.n))
-            return settle(Violation(witness, "direct properness scan"))
+            return settle(Witness(a, b, c.assignment[a], SignVector(h.n)))
         if steps >= step_cap:
             raise SearchLimitError(f"audit walk exceeded step cap {step_cap}")
         prev, cur = cur, onward[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .audit import AuditContext, Violation, neighbors
+from .audit import AuditContext, Witness, neighbors
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, SimpleGraph
 from .coloring import Coloring, chromatic_at_most
 from .kneser import kneser_graph
@@ -126,12 +126,13 @@ def alt_sigma_by_enumeration(h: Hypergraph, order: LinearOrder, k: int) -> int:
 
 @dataclass
 class AuditGraphStats:
-    """Census of the audit graph on all permissible chains of one context."""
+    """Census of the audit graph on all permissible chains of one context;
+    ``violations`` holds its level ties, each as (chain, witness)."""
 
     candidates: int
     vertex_count: int
     degree_histogram: dict[int, int]
-    violations: list[tuple[tuple[int, ...], Violation]]
+    violations: list[tuple[tuple[int, ...], Witness]]
     neighbor_map: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(repr=False)
 
 
@@ -142,14 +143,15 @@ def enumerate_audit_graph(
     order: LinearOrder | None = None,
     size_cap: int = 200_000,
 ) -> AuditGraphStats:
-    """Enumerate every permissible chain, its neighbors, and all violations.
+    """Enumerate every permissible chain, its neighbors, and all level ties.
 
     A test instrument for small n: the degree histogram exposes the
     impossible profile (one vertex of degree one, the rest of degree two)
     that the walk exploits, and the neighbor map lets tests check symmetry.
     Chains are generated by extending step prefixes; a prefix whose newest
     pair has a level tie is recorded once as a violation and pruned, since
-    the poisoned pair stays in every extension.
+    the poisoned pair stays in every extension, so ``neighbors`` answers
+    every listed chain with a list (or raises ``AuditAnomaly``).
     """
     ctx = AuditContext(h, c, k, order)
     n = h.n
@@ -162,7 +164,7 @@ def enumerate_audit_graph(
         raise SearchLimitError(f"{total} candidate chains exceed size cap {size_cap}")
 
     vertices: list[tuple[int, ...]] = []
-    violations: list[tuple[tuple[int, ...], Violation]] = []
+    violations: list[tuple[tuple[int, ...], Witness]] = []
 
     def grow(steps: tuple[int, ...], values: list[int], reds: int, blues: int) -> None:
         if set(steps) <= set(values):
@@ -176,7 +178,7 @@ def enumerate_audit_graph(
             for s, pair in ((p, (reds | bit, blues)), (-p, (reds, blues | bit))):
                 nxt = steps + (s,)
                 lv = ctx.level(*pair)
-                if isinstance(lv, Violation):
+                if isinstance(lv, Witness):
                     violations.append((nxt, lv))
                     continue
                 grow(nxt, values + [lv], *pair)
@@ -189,9 +191,6 @@ def enumerate_audit_graph(
     degree_histogram: dict[int, int] = {}
     for seq in vertices:
         outcome = neighbors(seq, ctx)
-        if isinstance(outcome, Violation):
-            violations.append((seq, outcome))
-            continue
         neighbor_map[seq] = tuple(outcome)
         d = len(outcome)
         degree_histogram[d] = degree_histogram.get(d, 0) + 1

@@ -16,7 +16,6 @@ from altermatic import (
     ProperWithinBound,
     SearchLimitError,
     SignVector,
-    Violation,
     Witness,
     alt,
     alt_sigma,
@@ -95,9 +94,8 @@ def test_level_tie_yields_witness():
     # {1,3} and {2,4} share color 1; the pair with those sides must trip
     c = Coloring((2, 1, 3, 4, 1, 5), 5)
     ctx = ctx_for(PAIRS4, c)
-    lv = ctx.level(mask_of([1, 3]), mask_of([2, 4]))
-    assert isinstance(lv, Violation) and lv.detail == "level tie"
-    w = lv.witness
+    w = ctx.level(mask_of([1, 3]), mask_of([2, 4]))
+    assert isinstance(w, Witness)
     assert (w.edge_a, w.edge_b, w.color) == (1, 4, 1)
     assert verify_witness(w, PAIRS4, c)
     assert w.context == SignVector.from_sets(4, reds=[1, 3], blues=[2, 4])
@@ -157,7 +155,9 @@ def test_level_invariants_proper_colorings(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_no_antipodal_nesting_under_any_coloring(seed):
     # neighbors has no rule for levels v and -v on nested pairs because
-    # they cannot occur; check that below, at and above the regime palette
+    # they cannot occur; check that below, at and above the regime palette,
+    # and that swapping the sides of a nonempty pair negates its level (or
+    # ties both ways), which lets neighbors mirror a chain without levelling
     import math
 
     rng = random.Random(60_000 + seed)
@@ -175,13 +175,20 @@ def test_no_antipodal_nesting_under_any_coloring(seed):
             c = Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
             ctx = ctx_for(h, c, k, order)
             levels = {(x.reds, x.blues): ctx.level(x.reds, x.blues) for x in all_sign_vectors(n)}
+            for (reds, blues), lv in levels.items():
+                if reds | blues:
+                    back = levels[(blues, reds)]
+                    if isinstance(lv, Witness):
+                        assert isinstance(back, Witness), (k, palette, reds, blues)
+                    else:
+                        assert back == -lv, (k, palette, reds, blues)
             for y in all_sign_vectors(n):
                 ly = levels[(y.reds, y.blues)]
-                if isinstance(ly, Violation):
+                if isinstance(ly, Witness):
                     continue
                 for x in sub_vectors(y):
                     lx = levels[(x.reds, x.blues)]
-                    if isinstance(lx, Violation):
+                    if isinstance(lx, Witness):
                         continue
                     assert lx + ly != 0, (k, palette, x, y)
                     high_pairs += abs(lx) >= ctx.alt_value + 2
@@ -209,23 +216,60 @@ def test_neighbors_refuses_malformed_chains():
     # also after a level tie: the sides {1, 3} and {2, 4} both enclose a
     # color-1 edge
     ones = ctx_for(PAIRS4, ONES4)
-    assert neighbors((1, -2, 3, -4), ones).witness is not None
+    assert isinstance(neighbors((1, -2, 3, -4), ones), Witness)
     with pytest.raises(ValueError):
         neighbors((1, -2, 3, -4, 1), ones)
 
 
+def test_neighbors_raises_on_a_chain_that_is_not_permissible():
+    # levels 1, 2 leave step 3 unheld: a rule failure, not a tie
+    ctx = ctx_for(PAIRS4, optimal_coloring(PAIRS4))
+    with pytest.raises(AuditAnomaly) as caught:
+        neighbors((3,), ctx)
+    assert str(caught.value) == "chain (3,) is not permissible (levels [1, 2])"
+
+
+def test_mirror_levels_no_pair(monkeypatch):
+    # swapping the sides of every pair negates each level, so the call that
+    # answers a mirrored chain levels nothing, and answers as a fresh
+    # context does
+    h = complete_uniform(5, 2)
+    c = Coloring((1,) * len(h.edges), 1)
+    ctx = ctx_for(h, c)
+    calls = []
+    level = AuditContext.level
+
+    def counted_level(self, reds, blues):
+        calls.append((reds, blues))
+        return level(self, reds, blues)
+
+    monkeypatch.setattr(AuditContext, "level", counted_level)
+    mirrors = 0
+    prev, cur = None, ()
+    while True:
+        calls.clear()
+        outcome = neighbors(cur, ctx)
+        if cur and prev == tuple(-s for s in cur):
+            assert calls == [], cur
+            assert outcome == neighbors(cur, ctx_for(h, c)), cur
+            mirrors += 1
+        if isinstance(outcome, Witness):
+            break
+        prev, cur = cur, [q for q in outcome if q != prev][0]
+    assert mirrors == 1
+
+
 def neighbor_census(h, coloring, k=1):
     # neighbors checks only the chain it is given, so every produced chain
-    # is checked here in turn: it lists its producer, or its violation
+    # is checked here in turn: it lists its producer, or its tie
     # certifies the coloring improper
     stats = enumerate_audit_graph(h, coloring, k)
     ctx = ctx_for(h, coloring, k)
     for seq, ns in stats.neighbor_map.items():
         for q in ns:
             back = neighbors(q, ctx)
-            if isinstance(back, Violation):
-                assert back.witness is not None, (seq, q, back.detail)
-                assert verify_witness(back.witness, h, coloring)
+            if isinstance(back, Witness):
+                assert verify_witness(back, h, coloring), (seq, q)
             else:
                 assert seq in back, (seq, q)
     return stats
@@ -257,11 +301,8 @@ def test_violations_carry_verified_witnesses():
     stats = enumerate_audit_graph(PAIRS4, ONES4, 1)
     assert stats.violations
     for seq, violation in stats.violations:
-        assert isinstance(violation, Violation)
-        if violation.witness is not None:
-            assert verify_witness(violation.witness, PAIRS4, ONES4)
-        else:
-            assert violation.detail
+        assert isinstance(violation, Witness)
+        assert verify_witness(violation, PAIRS4, ONES4)
 
 
 def test_audit_graph_empty_edge_set():
@@ -431,14 +472,14 @@ def test_walk_chains_and_peaks_on_regime_colorings(m, r):
         prev, cur = None, ()
         while True:
             outcome = neighbors(cur, ctx)
-            if isinstance(outcome, Violation):
+            if isinstance(outcome, Witness):
                 break
             for q in outcome:
                 assert all(0 < abs(s) <= h.n for s in q) and len({abs(s) for s in q}) == len(q), q
             onward = [q for q in outcome if q != prev]
             assert onward, "a regime coloring walk ends in a violation"
             prev, cur = cur, onward[0]
-        assert outcome.witness == audit(h, c, 1)
+        assert outcome == audit(h, c, 1)
         for reds, blues in ctx._level:
             for side in (reds, blues):
                 mask = ctx.vertex_mask(side)
@@ -455,7 +496,7 @@ def fresh_walk(h, c, k, order=None):
     while True:
         outcome = neighbors(cur, AuditContext(h, c, k, order))
         visits.append((cur, outcome))
-        if isinstance(outcome, Violation):
+        if isinstance(outcome, Witness):
             return visits
         onward = [q for q in outcome if q != prev]
         if not onward:
@@ -514,8 +555,8 @@ def test_walk_matches_fresh_context_answers(monkeypatch, family):
         visits = fresh_walk(h, c, k, order)
         assert calls == visits, (k, c)
         last = visits[-1][1]
-        if isinstance(last, Violation):
-            assert out == last.witness
+        if isinstance(last, Witness):
+            assert out == last
         else:
             assert out == ProperWithinBound(len(visits) - 1)
         kinds.add(type(out))
@@ -571,7 +612,7 @@ def test_produced_chains_answer_in_either_order(k):
     pairs = 0
     for c in (least_element(h, 6), Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)):
         for chain, outcome in fresh_walk(h, c, k):
-            if isinstance(outcome, Violation) or len(outcome) < 2:
+            if isinstance(outcome, Witness) or len(outcome) < 2:
                 continue
             answers = [neighbors(q, ctx_for(h, c, k)) for q in outcome]
             for order in ((0, 1), (1, 0)):

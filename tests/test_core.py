@@ -244,7 +244,7 @@ PUBLIC_API = [
     "AltReport", "AuditAnomaly", "AuditContext", "ChromaticResult", "Coloring",
     "Hypergraph", "LinearOrder", "ParseError",
     "ProperWithinBound", "SearchLimitError", "SignVector",
-    "SimpleGraph", "TheoremCheck", "Violation", "Witness",
+    "SimpleGraph", "TheoremCheck", "Witness",
     "alt", "alt_min", "alt_sigma", "apply_order", "audit", "chromatic_at_most",
     "chromatic_number", "complete_uniform", "is_proper",
     "kneser_graph", "mask_of", "neighbors", "parse_coloring", "parse_hypergraph",
