@@ -12,10 +12,10 @@ hyperedges carrying the same color - so ``AuditContext.level`` and
 ``neighbors`` return a tie as its ``Witness``.  A rule that fails instead
 raises ``AuditAnomaly`` where it is found.
 
-Levels and chains live in ordering slots ("positions"); whenever a level
-needs to look at actual hyperedges, the position sets are pushed through
-the ordering first.  Each walk owns its caches, so concurrent audits over
-the same immutable inputs are safe.
+Levels and chains live in ordering slots ("positions"); a level that needs
+to look at actual hyperedges reads them through per-slot edge masks, which
+each context builds once from the ordering.  Each walk owns its caches, so
+concurrent audits over the same immutable inputs are safe.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .core import Hypergraph, LinearOrder, SearchLimitError, SignVector, alt_masks, restrict, vertices_of
-from .coloring import Coloring, first_clash
+from .coloring import Coloring, _class_masks, first_clash
 from .kneser import kneser_graph
 from . import bounds
 
@@ -72,6 +72,13 @@ class AuditContext:
     omitted), comes from ``bounds.alt_sigma``, which also rejects a
     non-positive ``k`` and an ordering of the wrong length.
 
+    Peaks are read off edge-index masks built once: per slot, the edges
+    holding that slot's vertex (``h.incidence`` read through the
+    ordering), and per color, its edges, highest color first.  The edges
+    inside a side are those held by no slot off it, and the first color
+    mask that meets them gives the side's peak and, at its lowest bit,
+    the peak's edge.
+
     Besides the level and peak caches, it carries the last chain that
     ``neighbors`` answered: its prefix pairs (reds, blues), its levels,
     and each chain that call produced with the one pair index it changes
@@ -93,36 +100,33 @@ class AuditContext:
         self.c = c
         self.k = k
         self.order = order
+        self.n = h.n
         self.alt_value = bounds.alt_sigma(h, order, k).alt_value
-        self._vbit = tuple(1 << (v - 1) for v in order.perm)
-        # (edge mask, (color, index)) from the highest color down, lowest
-        # index first within a color (sorting is stable, also in reverse),
-        # so the first edge inside a side gives its peak
-        ranked = sorted(range(len(h.edges)), key=c.assignment.__getitem__, reverse=True)
-        self._by_peak = [(h.edges[i], (c.assignment[i], i)) for i in ranked]
+        self._slots = (1 << h.n) - 1
+        # entry j: the index bits of the edges holding the vertex in slot j
+        self._slot_inc = tuple(h.incidence[v - 1] for v in order.perm)
+        # (color, index bits of its edges) from the highest color down
+        self._classes = sorted(_class_masks(c.assignment).items(), reverse=True)
         self._peaks: dict[int, tuple[int, int | None]] = {}
         self._level: dict[tuple[int, int], LevelOutcome] = {}
         self._last: tuple[list[int], list[int], list[int], dict[tuple[int, ...], int]] = ([], [], [], {})
-
-    def vertex_mask(self, position_mask: int) -> int:
-        out = 0
-        m = position_mask
-        while m:
-            low = m & -m
-            m ^= low
-            out |= self._vbit[low.bit_length() - 1]
-        return out
 
     def _peak_of(self, position_mask: int) -> tuple[int, int | None]:
         """(largest color on a hyperedge inside one side, lowest edge index
         carrying it), or (0, None) when the side encloses no hyperedge."""
         got = self._peaks.get(position_mask)
         if got is None:
-            members = self.vertex_mask(position_mask)
+            meet = 0
+            off = self._slots & ~position_mask
+            while off:
+                low = off & -off
+                off ^= low
+                meet |= self._slot_inc[low.bit_length() - 1]
             got = (0, None)
-            for e, peak in self._by_peak:
-                if e & ~members == 0:
-                    got = peak
+            for color, members in self._classes:
+                inside = members & ~meet
+                if inside:
+                    got = (color, (inside & -inside).bit_length() - 1)
                     break
             self._peaks[position_mask] = got
         return got
@@ -195,10 +199,6 @@ class AuditContext:
             )
         a, b = (sub.origin[i] for i in clash)
         return Witness(a, b, colors[a], context)
-
-    @property
-    def n(self) -> int:
-        return self.h.n
 
 
 def _swapped(steps: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -305,13 +305,12 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
             values.append(lv)
     if tie is not None:
         return tie
-    support = set(steps)
     seen = set(values)
-    if not support <= seen:
+    if not seen.issuperset(steps):
         raise AuditAnomaly(f"chain {steps} is not permissible (levels {values})")
 
     # the m + 1 levels hold the m steps, so either one level repeats (and
-    # the support is all of them) or one level misses the support; each
+    # the steps are all of them) or one level misses the steps; each
     # produced chain is kept with the one pair index it changes
     if len(seen) == m:
         val = sum(values) - sum(seen)
@@ -328,12 +327,12 @@ def neighbors(steps: tuple[int, ...], ctx: AuditContext) -> NeighborOutcome:
         else:
             made[steps[:-1]] = m
     else:
-        (val,) = seen - support
+        (val,) = seen.difference(steps)
         i = values.index(val)
         if abs(val) <= n:
-            # val itself is missing from the support, so only -val can hold
+            # val itself is missing from the steps, so only -val can hold
             # its position
-            if -val in support:
+            if -val in steps:
                 raise AuditAnomaly(f"append target {val} collides with step {-val} of chain {steps}")
             made[steps + (val,)] = m + 1
         if m > 0:

@@ -35,9 +35,12 @@ class Coloring:
     def __post_init__(self) -> None:
         if self.palette < 0:
             raise ValueError("palette size must be nonnegative")
-        for i, c in enumerate(self.assignment):
-            if not 1 <= c <= self.palette:
-                raise ValueError(f"color {c} at index {i} outside 1..{self.palette}")
+        a = self.assignment
+        if a and not 1 <= min(a) <= max(a) <= self.palette:
+            # only a bad coloring pays for the loop that names its first bad color
+            for i, c in enumerate(a):
+                if not 1 <= c <= self.palette:
+                    raise ValueError(f"color {c} at index {i} outside 1..{self.palette}")
 
     @property
     def colors_used(self) -> int:
@@ -49,14 +52,21 @@ class ChromaticResult(NamedTuple):
     coloring: Coloring
 
 
+def _class_masks(assignment: tuple[int, ...]) -> dict[int, int]:
+    """One index mask per color used: bit i of color c's mask is set
+    exactly when ``assignment[i] == c``."""
+    same: dict[int, int] = {}
+    for i, color in enumerate(assignment):
+        same[color] = same.get(color, 0) | 1 << i
+    return same
+
+
 def first_clash(g: SimpleGraph, c: Coloring) -> tuple[int, int] | None:
     """Lexicographically first adjacent pair (i, j), i < j, sharing a color:
     i is the least vertex with such a neighbor, so j is its least one."""
     if len(c.assignment) != g.vcount:
         raise ValueError(f"coloring has {len(c.assignment)} entries for {g.vcount} vertices")
-    same: dict[int, int] = {}  # one vertex mask per color used
-    for i, color in enumerate(c.assignment):
-        same[color] = same.get(color, 0) | 1 << i
+    same = _class_masks(c.assignment)
     for i, row in enumerate(g.rows):
         m = row & same[c.assignment[i]]
         if m:

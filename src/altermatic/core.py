@@ -261,18 +261,19 @@ def _trusted_graph(rows: tuple[int, ...]) -> SimpleGraph:
 def alt_masks(n: int, reds: int, blues: int) -> int:
     """Length of a longest alternating subsequence of a word given as masks.
 
-    Equals one plus the number of sign changes in the run-length profile,
-    found in a single left-to-right scan; the all-zero word gives 0.
+    Equals the number of runs of one sign among the nonzero entries; the
+    all-zero word gives 0.  The masks hold no bit at or above ``n``.  The
+    scan jumps from run to run: ``a`` holds the side of the current run,
+    which starts at its lowest bit, and the next run starts at the lowest
+    bit of the other side ``b``, so only ``a``'s bits past that one stay.
     """
-    changes = 0
-    last = 0
-    for p in range(n):
-        bit = 1 << p
-        s = 1 if reds & bit else (-1 if blues & bit else 0)
-        if s and s != last:
-            changes += 1
-            last = s
-    return changes
+    support = reds | blues
+    a, b = (blues, reds) if blues & support & -support else (reds, blues)
+    runs = 0
+    while a:
+        runs += 1
+        a, b = b, a & -((b & -b) << 1)
+    return runs
 
 
 def alt(x: SignVector) -> int:

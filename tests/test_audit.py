@@ -19,6 +19,7 @@ from altermatic import (
     Witness,
     alt,
     alt_sigma,
+    apply_order,
     audit,
     chromatic_number,
     complete_uniform,
@@ -30,6 +31,7 @@ from altermatic import (
     schrijver_hypergraph,
     verify_witness,
 )
+from altermatic.core import alt_masks
 from altermatic.reference import enumerate_audit_graph
 from helpers import all_sign_vectors, random_sign_vector, sub_vectors
 
@@ -44,6 +46,11 @@ def optimal_coloring(h):
 
 def ctx_for(h, coloring, k=1, order=None):
     return AuditContext(h, coloring, k, order)
+
+
+def vertex_mask(ctx, position_mask):
+    """The vertices in the slots of a position mask, under the context's ordering."""
+    return apply_order(SignVector(ctx.n, position_mask), ctx.order).reds
 
 
 def enclosed_peak(mask, h, c):
@@ -112,8 +119,8 @@ def test_level_magnitude_formula():
             assert abs(lv) == alt(x) + 1
         else:
             peak = max(
-                enclosed_peak(ctx.vertex_mask(x.reds), h, c),
-                enclosed_peak(ctx.vertex_mask(x.blues), h, c),
+                enclosed_peak(vertex_mask(ctx, x.reds), h, c),
+                enclosed_peak(vertex_mask(ctx, x.blues), h, c),
             )
             assert abs(lv) == ctx.alt_value + peak - 1 + 2
 
@@ -460,8 +467,9 @@ def test_audit_random_instances_random_orderings():
 @pytest.mark.parametrize("m, r", [(8, 2), (9, 3)])
 def test_walk_chains_and_peaks_on_regime_colorings(m, r):
     # every chain neighbors produces holds distinct positions within
-    # +-1..n, and _peak_of, which stops at the first edge of a presorted
-    # list, agrees with the plain definition along whole walks
+    # +-1..n, and _peak_of, which reads the first color-class mask that
+    # meets the edges no slot off the side holds, agrees with the plain
+    # definition along whole walks
     h = complete_uniform(m, r)
     palette = m - (2 * r - 2) - 1  # n - alt - 1 at k = 1, alt = 2r - 2
     ties = 0
@@ -482,11 +490,87 @@ def test_walk_chains_and_peaks_on_regime_colorings(m, r):
         assert outcome == audit(h, c, 1)
         for reds, blues in ctx._level:
             for side in (reds, blues):
-                mask = ctx.vertex_mask(side)
+                mask = vertex_mask(ctx, side)
                 peak = enclosed_peak_edge(mask, h, c)
                 assert ctx._peak_of(side) == peak
                 ties += sum(e & ~mask == 0 and col == peak[0] for e, col in zip(h.edges, c.assignment)) > 1
     assert ties > 0
+
+
+def alt_all_positions(n, reds, blues):
+    """Alternation by a scan of every position: one more sign change each
+    time a signed position differs from the last signed one."""
+    changes, last = 0, 0
+    for p in range(n):
+        s = 1 if reds >> p & 1 else (-1 if blues >> p & 1 else 0)
+        if s and s != last:
+            changes, last = changes + 1, s
+    return changes
+
+
+def test_alt_masks_matches_the_all_positions_scan():
+    rng = random.Random(4_100)
+    for _ in range(4_000):
+        n = rng.randint(1, 12)
+        x = random_sign_vector(rng, n)
+        assert alt_masks(n, x.reds, x.blues) == alt_all_positions(n, x.reds, x.blues), x
+
+
+def oracle_level(ctx, reds, blues):
+    """The level of a pair from its definition: alternation scanned over
+    every position, peaks from the plain scan of the edges inside a side."""
+    h, c, n = ctx.h, ctx.c, ctx.n
+    a = alt_all_positions(n, reds, blues)
+    if a <= ctx.alt_value:
+        first = next((p for p in range(n) if (reds | blues) >> p & 1), None)
+        positive = blues == 0 or reds >> first & 1
+        return a + 1 if positive else -(a + 1)
+    (hr, pr), (hb, pb) = (enclosed_peak_edge(vertex_mask(ctx, side), h, c) for side in (reds, blues))
+    assert max(hr, hb) > 0
+    context = SignVector(n, reds, blues)
+    if max(hr, hb) < ctx.k:
+        ea, eb = brute_survivor_clash(h, c, ctx.order, reds, blues)
+        return Witness(ea, eb, c.assignment[ea], context)
+    if hr == hb:
+        return Witness(pr, pb, hr, context)
+    magnitude = ctx.alt_value + max(hr, hb) - ctx.k + 2
+    return magnitude if hr > hb else -magnitude
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_walk_levels_under_shuffled_orderings_match_the_definition(k):
+    # peaks are read off per-slot incidence and color-class masks built
+    # through the ordering; after each walk every pair it levelled, and
+    # every side whose peak it looked up, matches the definition
+    rng = random.Random(41_000 + k)
+    high = 0
+    for trial in range(40):
+        n = rng.randint(3, 8)
+        hi = min(3, n)
+        avail = sum(math.comb(n, s) for s in range(1, hi + 1))
+        h = random_hypergraph(n, rng.randint(2, min(20, avail)), (1, hi), seed=41_100 + 100 * k + trial)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        order = LinearOrder(tuple(perm))
+        regime = n - alt_sigma(h, order, k).alt_value + k - 2
+        palette = max(1, regime + rng.choice((0, 0, 1)))
+        c = Coloring(tuple(rng.randint(1, palette) for _ in h.edges), palette)
+        ctx = ctx_for(h, c, k, order)
+        prev, cur = None, ()
+        while True:
+            outcome = neighbors(cur, ctx)
+            if isinstance(outcome, Witness):
+                break
+            onward = [q for q in outcome if q != prev]
+            if not onward:
+                break
+            prev, cur = cur, onward[0]
+        for (reds, blues), lv in ctx._level.items():
+            assert lv == oracle_level(ctx, reds, blues), (trial, reds, blues)
+            high += isinstance(lv, Witness) or abs(lv) >= ctx.alt_value + 2
+        for side, peak in ctx._peaks.items():
+            assert peak == enclosed_peak_edge(vertex_mask(ctx, side), h, c), (trial, side)
+    assert high > 0  # the walks reach the high band, where peaks decide
 
 
 def fresh_walk(h, c, k, order=None):

@@ -252,3 +252,19 @@ def test_coloring_validation():
         Coloring((1, 3), 2)
     with pytest.raises(ValueError):
         Coloring((0,), 1)
+
+
+@pytest.mark.parametrize(
+    "assignment, palette, message",
+    [
+        ((2, 1, 4, 0), 3, "color 4 at index 2 outside 1..3"),
+        ((1, 0, 5), 3, "color 0 at index 1 outside 1..3"),
+        ((3, 3, 3), 2, "color 3 at index 0 outside 1..2"),
+        ((1,), 0, "color 1 at index 0 outside 1..0"),
+        ((1, 2, -1), 2, "color -1 at index 2 outside 1..2"),
+    ],
+)
+def test_coloring_validation_names_the_first_bad_color(assignment, palette, message):
+    with pytest.raises(ValueError) as err:
+        Coloring(assignment, palette)
+    assert str(err.value) == message
