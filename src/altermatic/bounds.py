@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, permutations
-from operator import or_
+from itertools import islice, permutations
 
 from .core import Hypergraph, LinearOrder, SignVector, vertices_of
 from .coloring import chromatic_at_most, chromatic_number, greedy_color_count
@@ -83,26 +82,24 @@ class _AltSearch:
 
     Feasibility is a question about the surviving edge-index set, as a bit
     mask over edge indices; that set is what the restriction boils down to.
-    At k = 2 the set is feasible when no two survivors are disjoint.  The
-    search reads that from one clash mask per edge, its row of the Kneser
-    graph (the index bits of the edges disjoint from it), which is
-    ``h.kneser_rows``; a set is feasible when no survivor's clash mask
+    At k = 2 the set is feasible when no two survivors are disjoint: no
+    survivor's clash mask, its row of the Kneser graph in
+    ``h.kneser_rows`` (the index bits of the edges disjoint from it),
     meets it.  At k >= 3 the answer comes from ``chromatic_at_most`` on
     the survivors' Kneser graph, memoized on the set, since the same sets
     recur across branches and across orderings.  That coloring question
-    is asked only for survivor sets that a walk or ``_half_floor``
+    is asked only for survivor sets that a walk or ``_feasible_set``
     reaches, never up front for the whole of H: where the word that
     alternates along the whole ordering is feasible, the walk's first
     descent reaches alt = n in n nodes.
 
     The search also remembers the last ``REMEMBERED_WORDS`` feasible words
-    its walks ended on, by vertex rather than by slot, newest first.
-    Which edges survive a word depends only on which vertices are R and
-    which are B, never on the ordering, so a remembered word is feasible
-    under every ordering.  When one of them reaches alt >= threshold under
-    the ordering of a threshold run, the maximum does too, and the run
-    returns None without a walk, exactly as the walk would.  Every
-    returned result still comes from a full walk.
+    its walks ended on, by vertex rather than by slot, newest first.  Which
+    edges survive a word depends only on which vertices are R and which are
+    B, never on the ordering, so a remembered word is feasible under every
+    ordering.  When one reaches alt >= threshold under the ordering of a
+    threshold run, so does the maximum, and the run returns None without a
+    walk, as the walk would.  Every returned result comes from a full walk.
     """
 
     def __init__(self, h: Hypergraph, k: int):
@@ -121,12 +118,14 @@ class _AltSearch:
         # k = 1: the size of the largest edge-free vertex set found, and the
         # least size shown to hold an edge in every set (see ``_free_at_most``)
         self._free = (0, h.n + 1)
+        once, self._twice = 0, [0]  # _twice[i]: the edges holding two or more vertices >= i
+        for inc in reversed(h.incidence):
+            self._twice.insert(0, self._twice[0] | once & inc)
+            once |= inc
 
     def _chrom_ok(self, survivors: int) -> bool:
-        if self.k == 2:
-            # 1-colorable means edgeless: no survivor's clash mask meets the set
-            clash = self._clash
-            m = survivors
+        if self.k == 2:  # 1-colorable means edgeless: no survivor's clash mask meets the set
+            clash, m = self._clash, survivors
             while m:
                 low = m & -m
                 m ^= low
@@ -140,66 +139,79 @@ class _AltSearch:
             self._chrom[survivors] = cached
         return cached
 
-    def _free_at_most(self, size: int) -> bool:
-        """Whether every vertex set of size + 1 holds an edge: F_1 <= size.
+    def _feasible_set(self, edges: int, target: int) -> int:
+        """The size of a vertex set of at least ``target`` <= n vertices
+        whose inside edges (those holding no vertex outside it) among
+        ``edges``, an edge-index mask, are feasible, or 0 if there is none.
 
-        The first question grows a maximal edge-free set greedily.  Past
-        its size, a depth-first search adds vertices in increasing order,
-        and returns at its first edge-free set of size + 1, grown greedily
-        to a maximal one.  The largest set found and the least size refuted
-        are kept, so a later question is searched only past both.
+        A depth-first search adds vertices in increasing order, each only if
+        the edges it closes keep the set feasible.  By downward closure a
+        node passes on only the vertices that may join, and it dies when they
+        cannot bring its set to ``target`` (Carraghan and Pardalos, Oper.
+        Res. Lett. 1990).  It tests whole the set with all of them and, at
+        one to spare, each set without one.  The greedy first descent runs
+        flat at the root and where it decides, growing its set to a maximal one.
         """
+        n, inc, twice, k = self.h.n, self.h.incidence, self._twice, self.k
+        full = (1 << len(self.h.edges)) - 1
+
+        def descend(i: int, count: int, out: int, inside: int, may, spare: int) -> int:
+            # each vertex joins if it may; 0 once more than ``spare`` may not
+            shut = full ^ (out | twice[i])  # the edges the next joiner closes
+            for j in may:
+                closed = inc[j] & shut
+                if not closed or k > 1 and self._chrom_ok(inside | closed):
+                    while i < j:
+                        out |= inc[i]
+                        i += 1
+                    i, inside, count = i + 1, inside | closed, count + 1
+                    shut = full ^ (out | twice[i])
+                elif (spare := spare - 1) < 0:
+                    return 0
+            return count
+
+        def grow(i: int, count: int, out: int, inside: int, may) -> int:
+            # ``count`` vertices below i are in, ``may`` holds those >= i that may join, ``out``
+            # the edges outside ``edges`` or holding a vertex out, ``inside`` those inside the set
+            spare = count + len(may) - target
+            every = full ^ out  # all of them join
+            if not every or k > 1 and self._chrom_ok(every):
+                return count + len(may)
+            if spare <= 1:
+                for j in may if spare else ():
+                    every = full ^ (out | inc[j])
+                    if not every or k > 1 and self._chrom_ok(every):
+                        return target
+                return 0
+            if count + 1 >= target:
+                return descend(i, count, out, inside, may, spare)
+            shut = full ^ (out | twice[i])
+            kept = []
+            for j in may:
+                if not inc[j] & shut or k > 1 and self._chrom_ok(inside | inc[j] & shut):
+                    kept.append(j)
+                else:
+                    out |= inc[j]
+            for t, j in enumerate(kept[: max(count + len(kept) - target + 1, 0)]):
+                reached = grow(j + 1, count + 1, out, inside | inc[j] & shut, kept[t + 1 :])
+                if reached:
+                    return reached
+                out |= inc[j]
+            return 0
+
+        root = (0, 0, full ^ edges, 0, range(n))
+        reached = (n - target > 1 and descend(*root, n - target)) or grow(*root)
+        grow = None  # see ``_walk``
+        return reached
+
+    def _free_at_most(self, size: int) -> bool:
+        """Whether F_1 <= size, asked of ``_feasible_set`` over all edges.
+        ``_free`` keeps the largest set found and the least size refuted."""
         found, refuted = self._free
         if size < found or size + 1 >= refuted:
             return size + 1 >= refuted
-        n, inc, target = self.h.n, self.h.incidence, size + 1
-        # once[i], twice[i]: index bits of the edges holding at least one,
-        # and at least two, vertices >= i
-        once = [0] * (n + 1)
-        twice = [0] * (n + 1)
-        for v in range(n - 1, -1, -1):
-            twice[v] = twice[v + 1] | once[v + 1] & inc[v]
-            once[v] = once[v + 1] | inc[v]
-        if not found:
-            # v joins unless an edge holding it has no vertex left out and
-            # none above v
-            out = 0
-            for v in range(n):
-                if inc[v] & ~(out | once[v + 1]):
-                    out |= inc[v]
-                else:
-                    found += 1
-            self._free = (found, refuted)
-            if size < found:
-                return False
-
-        def grow(i: int, count: int, out: int) -> int:
-            # the set has ``count`` vertices below i; ``out`` holds the edges
-            # of the vertices below i left out.  A vertex j >= i may join
-            # only if each edge holding it has a vertex left out or a second
-            # one >= i, or the set and j would hold that edge; how many may
-            # join bounds how far the set can grow.
-            keep = out | twice[i]
-            may = [j for j in range(i, n) if inc[j] & keep == inc[j]]
-            if count + len(may) < target:
-                return 0
-            if not may:
-                return count
-            skip, u = out, i
-            for t, j in enumerate(may):
-                if count + len(may) - t < target:
-                    return 0
-                while u < j:
-                    skip |= inc[u]
-                    u += 1
-                reached = grow(j + 1, count + 1, skip)
-                if reached:
-                    return reached
-            return 0
-
-        reached = grow(0, 0, 0)
-        grow = None  # see ``_walk``
-        self._free = (reached, refuted) if reached else (found, target)
+        reached = self._feasible_set((1 << len(self.h.edges)) - 1, size + 1)
+        self._free = (reached, refuted) if reached else (found, size + 1)
         return not reached
 
     def _refuted(self, perm: tuple[int, ...], threshold: int) -> bytes | None:
@@ -277,11 +289,10 @@ class _AltSearch:
         does not depend on ``limit``.
 
         Giving slot ``depth`` the side the next nonzero slot joins makes
-        newly monochromatic exactly the edges that hold its vertex v and
-        no vertex off that side.  The vertices off it are those of earlier
-        slots on the other side or at 0, whose edges ``onxt`` holds, and
-        those of later slots, whose edges ``later[depth + 1]`` holds.  So
-        the new edges are ``h.incidence[v - 1] & ~(onxt | later[depth + 1])``:
+        newly monochromatic exactly the edges that hold its vertex v and no
+        vertex off that side: none of earlier slots on the other side or at
+        0 (``onxt``) and none of later slots (``later[depth + 1]``).  So the
+        new edges are ``h.incidence[v - 1] & ~(onxt | later[depth + 1])``:
         one test of edge-index masks at every node, for every k.
 
         At k = 1 a branch also dies when its side ceiling cannot beat the
@@ -298,23 +309,21 @@ class _AltSearch:
         may join.  The longest such run is found greedily, slot by slot,
         so alt cannot exceed cur plus that run.  The test stops as soon as
         the run beats best or can no longer do so.  It runs only where
-        cur < best: at cur = best it rarely cuts, and testing there too
-        made the k = 1 walks of the seed-7 ``verify`` benchmark pass about
-        40% slower.  It cuts only subtrees without a word above best, so
-        both passes meet the same improvements, the same threshold stop
-        and the same witness, and the word remembered does not change.  At
-        k = 2 the same test with a clash scan per slot cut few nodes
-        (7,257 to 7,009 per seed-7 ``chromatic`` pass) and made the walk
-        slower, so it is not used there.
+        cur < best, since at cur = best it rarely cuts.  It cuts only
+        subtrees without a word above best, so both passes meet the same
+        improvements, the same threshold stop and the same witness, and the
+        word remembered does not change.  At k = 2 a clash scan per slot
+        cut few nodes and made the walk slower, so it is not used there.
 
         At k = 1 the first pass also stops at best = 2 F_1, where F_1 is the
         size of the largest edge-free vertex set.  Each side of a feasible
         word is edge-free, so a word of alt a has ceil(a/2) <= F_1 slots on
-        R.  At an even best b, when ``_free_at_most(b/2)`` finds no
+        R.  At an even best b, when ``_free_at_most(b/2)`` (a question to
+        ``_feasible_set``, whose first is its greedy pass) finds no
         edge-free set of b/2 + 1 vertices, no word beats b: the pass ends
         as at ``limit``, with the maximum it would have ended with, so the
         second pass, the witness and the word remembered do not change.  At
-        k = 2 the same bound is loose: on KG(m,r), alt = 2r - 1, while any
+        k = 2 the bound is loose: on KG(m,r), alt = 2r - 1, while any
         2r - 1 vertices form a feasible one-sided word.
         """
         n = self.h.n
@@ -714,14 +723,12 @@ def alt_min(
     orderings of ``_ordering_stream`` and reports the first one attaining
     the minimum: the lexicographically first minimiser over all n! orderings.
     The stream holds the least ordering of every orbit under Aut(H) and
-    reversal, and some others (see ``_ordering_stream``).  Every ordering
-    of an orbit has the same alt and witness, so the orbit of the first
-    minimiser holds only minimisers, and it is the least of them; so it
-    is generated, every ordering scanned before it has a larger alt, and
-    the reduction changes no report.  The identity, the least ordering of
-    all, is scanned first.  The half floor (below) is computed only when
-    the scan would go on past it, and H is searched for twins and
-    automorphisms only when the scan goes on past both floors.
+    reversal, and some others.  Every ordering of an orbit has the same alt
+    and witness, so the orbit of the first minimiser holds only minimisers,
+    and it is the least of them; so it is generated, every ordering scanned
+    before it has a larger alt, and the reduction changes no report.  The
+    identity, the least ordering of all, is scanned first; H is searched
+    for twins and automorphisms only when the scan goes on past the floors.
 
     Sampled mode scans the identity plus ``samples`` seeded random
     orderings and is flagged as such: the result can overshoot the true
@@ -741,24 +748,20 @@ def alt_min(
       Otherwise every ordering has alt n, and the identity's report is the
       one a full scan gives, wherever the scan stops.  ``verify_theorem``
       leaves it off: this floor assumes the theorem it checks.
-    - The half floor: the largest size s of a vertex set S whose edges
-      of at most ceil(s/2) vertices form a feasible survivor set.  Under
-      any ordering the word that alternates along S has alt s and puts
-      ceil(s/2) vertices of S on R and floor(s/2) on B.  Each of its
-      survivors lies inside one side, so it is one of those edges, and
-      the word is feasible by downward closure.  At k <= 2 this is the
-      largest S whose balanced splits are all feasible.  It is at least
-      the size of the largest feasible one-sided word (R = S, B = 0).
-      This floor assumes no theorem and no coloring, so ``verify_theorem``
-      may stop at it and its check stays independent.  It is found by
-      ``_half_floor``.  A scanned ordering whose alt falls below it
-      contradicts that argument, so it raises ``AssertionError`` rather
-      than replace the best.  Its search over vertex sets is exponential
-      in n, so a sampled scan asks only whether S may be the whole vertex
-      set, and only when the identity's alt is n and k <= 2: whether the
-      edges of at most ceil(n/2) vertices are none (k = 1) or pairwise
-      intersect (k = 2).  At k >= 3 that question is a coloring, never
-      asked.
+    - The half floor H_k (``_half_floor``): the largest size s of a vertex
+      set S whose edges of at most ceil(s/2) vertices are feasible.  Under
+      any ordering the word alternating along S has alt s and ceil(s/2)
+      vertices of S on R, floor(s/2) on B; each survivor lies inside one
+      side, so it is one of those edges, and the word is feasible by
+      downward closure.  At k <= 2 S is the largest set whose balanced
+      splits are all feasible.  H_k is at least the largest feasible
+      one-sided word, and it assumes no theorem and no coloring, so
+      ``verify_theorem`` may stop at it; an alt below it raises
+      ``AssertionError``.  Its search is exponential in n: at k >= 3 each
+      node is a coloring question, and H_2 of a random input on 30 vertices
+      takes seconds.  So a sampled scan asks only whether S may be all of
+      V, when the identity's alt is n and k <= 2: one test of the edges of
+      at most ceil(n/2) vertices.
     """
     n = h.n
     _check_scan(n, samples)
@@ -805,18 +808,14 @@ def _check_scan(n: int, samples: int | None) -> None:
 
 
 def _half_floor(search: _AltSearch, low: int, high: int) -> int:
-    """The largest size s in low + 1..high of a vertex set S whose edges of
-    at most ceil(s/2) vertices form a feasible survivor set, or 0 if there
-    is none; sizes are tried largest first.  The edges inside S are those
-    holding no vertex outside it."""
-    h = search.h
+    """The largest s in low + 1..high such that ``_feasible_set`` finds s
+    vertices whose edges of at most ceil(s/2) vertices are feasible, or 0."""
+    by_size = [0] * (search.h.n + 1)  # the index bits of the edges of each size
+    for i, e in enumerate(search.h.edges):
+        by_size[e.bit_count()] |= 1 << i
     for size in range(high, low, -1):
-        half = (size + 1) // 2
-        small = sum(1 << i for i, e in enumerate(h.edges) if e.bit_count() <= half)
-        for outside in combinations(h.incidence, h.n - size):
-            inside = small & ~functools.reduce(or_, outside, 0)
-            if not inside or search.k > 1 and search._chrom_ok(inside):
-                return size
+        if search._feasible_set(sum(by_size[: (size + 1) // 2 + 1]), size):
+            return size
     return 0
 
 

@@ -6,7 +6,7 @@ import sys
 from itertools import combinations, islice, permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altermatic import (
     Hypergraph,
@@ -190,23 +190,35 @@ def test_side_ceiling_at_level_one_matches_enumeration():
             assert outcome == (None if rep.alt_value >= t else (rep.alt_value, rep.witness)), (h, order, t)
 
 
-def _walk_nodes(h, k):
-    """Nodes that ``_AltSearch._walk`` visits for ``alt_sigma`` at the
-    identity: calls of its inner ``walk``, counted by a profile hook."""
-    nodes = 0
+def _inner_calls(names, call):
+    """(result, calls): ``call()`` and the calls it made of the functions
+    of ``bounds`` named in ``names``, counted by a profile hook."""
+    calls = 0
 
     def count(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "walk" and frame.f_code.co_filename == bounds.__file__:
-            nodes += 1
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name in names and frame.f_code.co_filename == bounds.__file__:
+            calls += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        alt_sigma(h, LinearOrder.identity(h.n), k)
+        result = call()
     finally:
         sys.setprofile(previous)
-    return nodes
+    return result, calls
+
+
+def _walk_nodes(h, k):
+    """Nodes that ``_AltSearch._walk`` visits for ``alt_sigma`` at the
+    identity: calls of its inner ``walk``."""
+    return _inner_calls({"walk"}, lambda: alt_sigma(h, LinearOrder.identity(h.n), k))[1]
+
+
+def _set_search_nodes(call):
+    """(result, nodes): ``call()`` and the nodes of ``_AltSearch._feasible_set``
+    it visited, the calls of its inner ``grow`` and ``descend``."""
+    return _inner_calls({"grow", "descend"}, call)
 
 
 def test_side_ceiling_cuts_the_level_one_walk():
@@ -265,13 +277,27 @@ def test_free_stop_at_level_one_matches_enumeration():
             outcome = bounds._AltSearch(h, 1).run(order.perm, t)
             assert outcome == (None if alt_value >= t else (alt_value, witness)), (h, order, t)
     assert stopped > 50 and larger > 50
+    # on up to 10 vertices, where enumerating words is too slow: every
+    # question the walk may ask, in the order it asks them
+    for h, _ in _set_search_inputs(random.Random(42), 24):
+        free = _largest_edge_free(h)
+        search = bounds._AltSearch(h, 1)
+        assert [search._free_at_most(size) for size in range(h.n + 1)] == [free <= size for size in range(h.n + 1)]
+        found, refuted = search._free
+        assert found <= free < refuted, (h, found, refuted)
 
 
 def test_free_stop_cuts_the_kneser_walk():
     # machine-independent work count: KG(12,3) took 356 nodes without the
-    # stop at 2 F_1, and KG(16,5) 12,904
+    # stop at 2 F_1, and KG(16,5) 12,904.  The stop's questions, F_1 <= 0
+    # and F_1 <= r - 1, took 101 and 2,290 search nodes at the time of
+    # writing
     assert _walk_nodes(complete_uniform(12, 3), 1) <= 40
     assert _walk_nodes(complete_uniform(16, 5), 1) <= 60
+    for (m, r), bound in (((12, 3), 120), ((16, 5), 2_600)):
+        h = complete_uniform(m, r)
+        alt_value, nodes = _set_search_nodes(lambda: alt_sigma(h, LinearOrder.identity(m), 1).alt_value)
+        assert (alt_value, nodes <= bound) == (2 * r - 2, True), (m, r, nodes)
 
 
 def test_alt_sigma_on_kg_16_5():
@@ -719,6 +745,26 @@ def _brute_half_floor(h, k):
     return best
 
 
+def _largest_feasible_set(search):
+    """F_k by ``_feasible_set`` over all edges: ask for one vertex more
+    than the largest set found until none is found."""
+    found, everything = 0, (1 << len(search.h.edges)) - 1
+    while found < search.h.n and (reached := search._feasible_set(everything, found + 1)):
+        found = reached
+    return found
+
+
+def _set_search_inputs(rng, count):
+    """(h, k): seeded random inputs on 7 to 10 vertices at k = 1, 2 and 3
+    in turn, alternately sparse with edges of 1 to 6 vertices and dense
+    with edges of 2 or 3."""
+    for i in range(count):
+        n = 7 + i % 4
+        low, high, m = (2, 3, rng.randint(12, 30)) if i % 2 else (1, 6, rng.randint(6, 18))
+        edges = {mask_of(rng.sample(range(1, n + 1), rng.randint(low, high))) for _ in range(m)}
+        yield Hypergraph(n, tuple(sorted(edges))), 1 + i % 3
+
+
 def _assert_no_ordering_below(h, k, floor):
     # against the enumeration oracle up to n = 5, and against
     # ``alt_sigma`` at n = 6, where the oracle would take seconds per input
@@ -730,18 +776,39 @@ def _assert_no_ordering_below(h, k, floor):
             assert floor <= alt_sigma(h, order, k).alt_value
 
 
+def _with_larger_inputs(test):
+    # the inputs of ``_set_search_inputs`` as explicit examples
+    for h, k in _set_search_inputs(random.Random(37), 24):
+        test = example((h, LinearOrder.identity(h.n), k))(test)
+    return test
+
+
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(small_instances())
+@_with_larger_inputs
 def test_half_floor_is_the_largest_set_whose_balanced_splits_are_feasible(instance):
     # at k <= 2; at k = 3 it lies between the largest feasible one-sided
-    # word and every ordering's alt
+    # word and every ordering's alt.  The one search finds that word too
     h, _, k = instance
-    half = bounds._half_floor(bounds._AltSearch(h, k), 0, h.n)
+    search = bounds._AltSearch(h, k)
+    half = bounds._half_floor(search, 0, h.n)
+    assert _largest_feasible_set(search) == _brute_one_sided_floor(h, k)
     if k <= 2:
         assert half == _brute_half_floor(h, k)
     else:
         assert _brute_one_sided_floor(h, k) <= half
-    _assert_no_ordering_below(h, k, half)
+    if h.n <= 6:  # the check visits all n! orderings
+        _assert_no_ordering_below(h, k, half)
+
+
+def test_half_floor_on_a_random_20_vertex_input():
+    # r20, the input of ``gen random -n 20 -e 120 --sizes 2..3 --seed 1``:
+    # H_1 = 8 and H_2 = 10, as the listing of all subsets of each size
+    # found; the search visited 885 and 5,104 nodes at the time of writing
+    h = random_hypergraph(20, 120, (2, 3), 1)
+    for k, floor, bound in ((1, 8, 1_000), (2, 10, 6_000)):
+        half, nodes = _set_search_nodes(lambda: bounds._half_floor(bounds._AltSearch(h, k), 0, h.n))
+        assert (half, nodes <= bound) == (floor, True), (k, half, nodes)
 
 
 @pytest.mark.parametrize(
